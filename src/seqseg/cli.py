@@ -16,6 +16,7 @@ if _cap:
         os.environ.setdefault(_var, _cap)
 
 import argparse
+import csv
 import dataclasses
 import datetime
 import json
@@ -183,7 +184,8 @@ def _build_net_from_checkpoint(ckpt_path: Path, model_config_path, dataset) -> S
         raise DataError(
             f"network was built for {model_cfg.crop_h}x{model_cfg.crop_w} frames but "
             f"the dataset provides {frame_h}x{frame_w}")
-    net = SegNet(model_cfg, seed=0, dtype=np.float32, mode="phase2")
+    net = SegNet(model_cfg, seed=0, dtype=np.float32,
+                 mode=trainmod.checkpoint_mode(ckpt_path))
     ckpt.load_model(ckpt_path, net)
     return net
 
@@ -322,10 +324,8 @@ def cmd_sweep(args) -> int:
     if args.corrupt:
         columns = ["param", "value", "seed", "val_miou", "clean_miou",
                    "corrupted_miou", "degradation", "status"]
-    import csv as csvmod
-
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csvmod.DictWriter(f, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

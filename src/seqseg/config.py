@@ -83,10 +83,9 @@ def load_run_config(path: Optional[str], data_cfg, overrides: Optional[dict] = N
             raise DataError(f"unknown config override {key!r}")
 
     model_cfg = ModelConfig(
-        frame_channels=3,
-        channel_plan=tuple(model_doc.get("channel_plan", (16, 32, 64, 64))),
+        channel_plan=tuple(model_doc.get("channel_plan", ModelConfig.channel_plan)),
         classes=data_cfg.classes,
-        ppm_bins=tuple(model_doc.get("ppm_bins", (1, 2, 3, 6))),
+        ppm_bins=tuple(model_doc.get("ppm_bins", ModelConfig.ppm_bins)),
         crop_h=int(model_doc.get("crop_h", data_cfg.height)),
         crop_w=int(model_doc.get("crop_w", data_cfg.width)),
     )

@@ -354,7 +354,10 @@ def load_dataset(root) -> SynthDataset:
     meta_path = root / "meta.json"
     if not meta_path.exists():
         raise DataError(f"{root} is not a dataset directory (missing meta.json)")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
     cfg = GenConfig.from_dict(meta["config"])
     splits = {}
     for split in ("train", "val"):

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
 
-class ImageFormatError(ValueError):
+
+class ImageFormatError(DataError):
     pass
 
 

@@ -1,6 +1,7 @@
 """Plain-numpy image helpers shared by the data generator and the noise
 policy: bilinear resampling, separable Gaussian blur, smooth random fields.
-All images are float arrays in [0, 1], channel-first."""
+All images are float arrays in [0, 1], channel-first. ``interp_weights`` is
+also the interpolation rule of ``ops.bilinear_upsample``."""
 
 from __future__ import annotations
 

@@ -44,12 +44,6 @@ class ConfusionMatrix:
             np.add.at(self.counts, (t, p), 1)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.classes != self.classes:
-            raise DataError("cannot merge confusion matrices of different sizes")
-        self.counts += other.counts
-        return self
-
 
 def miou(cm: ConfusionMatrix):
     """Per-class IoU (NaN where a class is absent from truth and prediction)

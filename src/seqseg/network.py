@@ -155,17 +155,6 @@ class PyramidDecoder:
         return ops.bilinear_upsample(logits, self.out_h, self.out_w)
 
 
-def flatten_sequences(seqs: np.ndarray) -> np.ndarray:
-    """[N, T, C, H, W] -> [N*T, C, H, W], frame t of sequence n at n*T + t."""
-    n, t = seqs.shape[:2]
-    return np.ascontiguousarray(seqs.reshape((n * t,) + seqs.shape[2:]))
-
-
-def regroup_step_indices(n_sequences: int, seq_len: int, t: int) -> list:
-    """Flat-batch rows holding frame t of every sequence."""
-    return [i * seq_len + t for i in range(n_sequences)]
-
-
 class SegNet:
     """Feature extractor + ConvLSTM + pyramid decoder, with a phase switch."""
 
@@ -261,12 +250,11 @@ class SegNet:
         flat_np = np.ascontiguousarray(seqs.reshape(n * t, seqs.shape[2], h, w))
         flat = Tensor(flat_np.astype(self.dtype, copy=False))
         z = self.extract(flat, t, training)
+        # frame i of sequence s sits at row s*t + i of the flat batch
         if self.mode == "phase1":
-            z_target = ops.gather_batch(z, regroup_step_indices(n, t, t - 1))
-            return self.decoder(z_target, training)
-        steps = [ops.gather_batch(z, regroup_step_indices(n, t, i)) for i in range(t)]
-        g = encode_sequence(self.cell, steps)
-        return self.decoder(g, training)
+            return self.decoder(ops.gather_batch(z, range(t - 1, n * t, t)), training)
+        steps = [ops.gather_batch(z, range(i, n * t, t)) for i in range(t)]
+        return self.decoder(encode_sequence(self.cell, steps), training)
 
     def predict(self, seqs: np.ndarray) -> np.ndarray:
         """Eval-mode per-pixel argmax labels; ties go to the lowest class id."""

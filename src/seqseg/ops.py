@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .imutil import interp_weights
 from .tensor import NonFiniteError, ShapeError, Tensor, active_tape
 
 
@@ -140,12 +141,6 @@ class RunningStats:
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
 
-    def astype(self, dtype) -> "RunningStats":
-        rs = RunningStats(self.mean.shape[0], dtype=dtype)
-        rs.mean = self.mean.astype(dtype)
-        rs.var = self.var.astype(dtype)
-        return rs
-
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, *,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -208,13 +203,11 @@ def _d_tanh(out: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, output clamped strictly inside (0, 1)."""
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    out[~pos] = e / (1.0 + e)
-    tiny = np.finfo(d.dtype).tiny
-    np.clip(out, tiny, 1.0 - np.finfo(d.dtype).epsneg, out=out)
+    # exp of a non-positive argument cannot overflow: 1/(1+e^-d) for d >= 0,
+    # e^d/(1+e^d) below
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    np.clip(out, np.finfo(d.dtype).tiny, 1.0 - np.finfo(d.dtype).epsneg, out=out)
 
     def backward_fn(g, needs):
         return (g * out * (1.0 - out),) if needs[0] else (None,)
@@ -268,23 +261,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _make("hadamard", (a, b), a.data * b.data, backward_fn)
 
 
-_POINTWISE = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "add": add, "hadamard": hadamard}
-
-
-def pointwise(x: Tensor, kind: str, other: Optional[Tensor] = None) -> Tensor:
-    """Dispatch over the elementwise operator set by name."""
-    if kind not in _POINTWISE:
-        raise ValueError(f"unknown pointwise kind {kind!r}")
-    fn = _POINTWISE[kind]
-    if kind in ("add", "hadamard"):
-        if other is None:
-            raise ShapeError(f"pointwise {kind!r} needs a second operand")
-        return fn(x, other)
-    if other is not None:
-        raise ShapeError(f"pointwise {kind!r} takes a single operand")
-    return fn(x)
-
-
 # ---------------------------------------------------------------------------
 # Pooling and resampling
 
@@ -320,16 +296,12 @@ def avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def _interp_matrix(out_size: int, in_size: int, dtype) -> np.ndarray:
-    # align-corners-false source coordinates, clamped to the valid range
+    """[out, in] resampling matrix of the align-corners-false rule."""
+    i0, i1, w1 = interp_weights(out_size, in_size)
+    rows = np.arange(out_size)
     r = np.zeros((out_size, in_size), dtype=dtype)
-    src = (np.arange(out_size, dtype=np.float64) + 0.5) * (in_size / out_size) - 0.5
-    src = np.clip(src, 0.0, in_size - 1.0)
-    i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, in_size - 1)
-    w1 = src - i0
-    for o in range(out_size):
-        r[o, i0[o]] += 1.0 - w1[o]
-        r[o, i1[o]] += w1[o]
+    r[rows, i0] += 1.0 - w1
+    r[rows, i1] += w1
     return r
 
 
@@ -350,14 +322,6 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return (np.matmul(ry.T, np.matmul(g, rx)),)
 
     return _make("bilinear_upsample", (x,), out, backward_fn)
-
-
-def pool_and_resize(x: Tensor, kind: str, out_h: int, out_w: int) -> Tensor:
-    if kind == "avg_pool":
-        return avg_pool(x, out_h, out_w)
-    if kind == "bilinear_upsample":
-        return bilinear_upsample(x, out_h, out_w)
-    raise ValueError(f"unknown pool_and_resize kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,9 @@ A ``GradTape`` records operations while active (as a context manager) and
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 _state = threading.local()
 
@@ -42,35 +39,10 @@ class TapeError(RuntimeError):
 
 
 def _resolve_dtype(dtype) -> np.dtype:
-    if dtype is None:
-        return get_default_dtype()
-    if isinstance(dtype, str):
-        if dtype not in _DTYPES:
-            raise ValueError(f"unsupported dtype {dtype!r}; use 'float32' or 'float64'")
-        return np.dtype(_DTYPES[dtype])
-    dt = np.dtype(dtype)
+    dt = np.dtype(np.float32 if dtype is None else dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
     return dt
-
-
-def set_default_dtype(dtype) -> None:
-    _state.default_dtype = _resolve_dtype(dtype)
-
-
-def get_default_dtype() -> np.dtype:
-    return getattr(_state, "default_dtype", np.dtype(np.float32))
-
-
-@contextmanager
-def precision(dtype) -> Iterator[None]:
-    """Temporarily switch the default element precision (e.g. for gradient checks)."""
-    previous = get_default_dtype()
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
 
 
 class Tensor:
@@ -80,7 +52,7 @@ class Tensor:
     by ``backward`` for leaves with ``requires_grad``.
     """
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None and isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
             arr = data
         else:
@@ -90,7 +62,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.name = name
 
     @property
     def shape(self) -> tuple:
@@ -114,8 +85,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{tag})"
+        return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name})"
 
 
 # A backward rule receives the output gradient and a per-input "needed" mask,

@@ -179,6 +179,17 @@ def derived_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).generate_state(1)[0])
 
 
+def checkpoint_mode(path) -> str:
+    """The network mode a checkpoint was saved in, read from the
+    ``{mode}_epochNNN`` name that ``_save_state`` gives it."""
+    mode, sep, epoch = Path(path).stem.partition("_epoch")
+    if mode not in ("phase1", "phase2") or not sep or not epoch.isdigit():
+        raise ckpt.CheckpointError(
+            f"cannot tell the phase of checkpoint {path}: expected a name like "
+            "phase1_epoch000.ckpt or phase2_epoch003.ckpt")
+    return mode
+
+
 def _save_state(out_dir: Path, net, optimizer: AdamState, phase_idx: int, epoch: int,
                 name: str) -> Path:
     ckpt_dir = out_dir / "checkpoints"
@@ -186,11 +197,9 @@ def _save_state(out_dir: Path, net, optimizer: AdamState, phase_idx: int, epoch:
     path = ckpt_dir / f"{name}.ckpt"
     ckpt.save_model(path, net)
     opt_path = ckpt_dir / f"{name}.opt"
-    opt_arrays = {"step": np.array([float(optimizer.step)], dtype=np.float32)}
-    for pname, arr in optimizer.m.items():
-        opt_arrays[f"m.{pname}"] = arr.astype(np.float32, copy=False)
-    for pname, arr in optimizer.v.items():
-        opt_arrays[f"v.{pname}"] = arr.astype(np.float32, copy=False)
+    opt_arrays = {"step": np.array([optimizer.step], dtype=net.dtype)}
+    opt_arrays.update((f"m.{pname}", arr) for pname, arr in optimizer.m.items())
+    opt_arrays.update((f"v.{pname}", arr) for pname, arr in optimizer.v.items())
     ckpt.save_arrays(opt_path, opt_arrays)
     state = {
         "phase_index": phase_idx,
@@ -253,7 +262,7 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
         ckpt.load_model(resume_from, net)
         start_phase = int(state["phase_index"])
         start_epoch = int(state["epochs_done_in_phase"])
-        net.set_mode(phases[start_phase][0])
+        net.set_mode(checkpoint_mode(resume_from))
         params = net.trainable_params(cfg.freeze_extractor_phase2 and start_phase == 1)
         optimizer = _load_optimizer(state["optimizer_path"], params)
         if start_epoch >= phases[start_phase][1]:

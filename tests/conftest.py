@@ -5,11 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def f64():
-    from seqseg.tensor import precision
-
-    with precision("float64"):
-        yield

@@ -1,7 +1,22 @@
 """Test-local reference implementations, coded independently of the
-package's operator set (plain loops over numpy scalars/arrays)."""
+package's operator set: straight loop transcriptions of each operator's
+definition, deliberately slow and simple. The fast paths in ``seqseg.ops``
+and ``seqseg.convlstm`` are checked against them."""
+
+from __future__ import annotations
 
 import numpy as np
+
+
+def sigmoid_two_branch(d: np.ndarray) -> np.ndarray:
+    """The logistic function evaluated separately on the non-negative and
+    negative entries, clamped strictly inside (0, 1) like ``ops.sigmoid``."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    out[~pos] = e / (1.0 + e)
+    return np.clip(out, np.finfo(d.dtype).tiny, 1.0 - np.finfo(d.dtype).epsneg)
 
 
 def _sig(x):
@@ -46,3 +61,88 @@ def convlstm_encode_naive(params, zs):
                  + params["U_o"] * c + params["b_o"])
         h = o * np.tanh(c)
     return h, c
+
+
+def conv2d_naive(
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray | None = None,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+) -> np.ndarray:
+    """Seven-nested-loop 2D convolution (cross-correlation), NCHW layout."""
+    n, cin, h, wd = x.shape
+    cout, cin_w, kh, kw = w.shape
+    if cin != cin_w:
+        raise ValueError(f"input channels {cin} != kernel channels {cin_w}")
+    out_h = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    out_w = (wd + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    if out_h < 1 or out_w < 1:
+        raise ValueError("empty convolution output")
+    out = np.zeros((n, cout, out_h, out_w), dtype=x.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for oy in range(out_h):
+                for ox in range(out_w):
+                    acc = 0.0
+                    for ci in range(cin):
+                        for ky in range(kh):
+                            iy = oy * stride + ky * dilation - padding
+                            if iy < 0 or iy >= h:
+                                continue
+                            for kx in range(kw):
+                                ix = ox * stride + kx * dilation - padding
+                                if ix < 0 or ix >= wd:
+                                    continue
+                                acc += float(x[ni, ci, iy, ix]) * float(w[co, ci, ky, kx])
+                    if b is not None:
+                        acc += float(b[co])
+                    out[ni, co, oy, ox] = acc
+    return out
+
+
+def batch_norm_naive(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Two-pass per-channel train-mode batch normalization."""
+    out = np.empty_like(x)
+    for c in range(x.shape[1]):
+        vals = x[:, c]
+        mean = vals.mean()
+        var = ((vals - mean) ** 2).mean()
+        out[:, c] = gamma[c] * (vals - mean) / np.sqrt(var + eps) + beta[c]
+    return out
+
+
+def avg_pool_naive(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Adaptive average pooling by explicit window enumeration."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    for oy in range(out_h):
+        y0 = (oy * h) // out_h
+        y1 = -(-((oy + 1) * h) // out_h)
+        for ox in range(out_w):
+            x0 = (ox * w) // out_w
+            x1 = -(-((ox + 1) * w) // out_w)
+            out[:, :, oy, ox] = x[:, :, y0:y1, x0:x1].mean(axis=(2, 3))
+    return out
+
+
+def softmax_ce_naive(logits: np.ndarray, labels: np.ndarray, ignore_index: int | None = None) -> float:
+    """Per-pixel summed cross-entropy, averaged over non-ignored pixels."""
+    n, c, h, w = logits.shape
+    total = 0.0
+    count = 0
+    for ni in range(n):
+        for y in range(h):
+            for x in range(w):
+                lab = int(labels[ni, y, x])
+                if ignore_index is not None and lab == ignore_index:
+                    continue
+                z = logits[ni, :, y, x].astype(np.float64)
+                z = z - z.max()
+                logp = z - np.log(np.exp(z).sum())
+                total += -logp[lab]
+                count += 1
+    if count == 0:
+        raise ValueError("all pixels ignored")
+    return total / count

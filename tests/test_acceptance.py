@@ -9,14 +9,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
-from seqseg import gradcheck, ops, reference
+from seqseg import gradcheck, ops
 from seqseg.cli import main
 from seqseg.convlstm import ConvLSTMCell
 from seqseg.data import GenConfig, SequenceSample, generate_dataset, valid_targets
 from seqseg.metrics import ConfusionMatrix, evaluate, miou
-from seqseg.network import ModelConfig, SegNet, flatten_sequences
+from seqseg.network import ModelConfig, SegNet
 from seqseg.noise import NoisePolicy, apply_noise, corrupt_for_eval
 from seqseg.tensor import Tensor
 from seqseg.train import (
@@ -71,8 +72,8 @@ def test_convolution_oracle_equivalence():
         wk = rng.standard_normal((cout, cin, k, k))
         fast = ops.conv2d(Tensor(x), Tensor(wk), stride=stride, padding=padding,
                           dilation=dilation).data
-        naive = reference.conv2d_naive(x, wk, stride=stride, padding=padding,
-                                       dilation=dilation)
+        naive = oracles.conv2d_naive(x, wk, stride=stride, padding=padding,
+                                     dilation=dilation)
         scale = max(1e-12, float(np.abs(naive).max()))
         worst = max(worst, float(np.abs(fast - naive).max()) / scale)
     elapsed = time.perf_counter() - started
@@ -141,7 +142,7 @@ def test_protocol_fidelity():
     samples, _ = build_batch(ds.train, cfg, NoisePolicy(), np.random.default_rng(0),
                              28, 28)
     seqs, _ = stack_batch(samples)
-    flat = flatten_sequences(seqs)
+    flat = seqs.reshape((-1,) + seqs.shape[2:])
     batch_ok = flat.shape[0] == 16
 
     rng = np.random.default_rng(5)

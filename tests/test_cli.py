@@ -2,13 +2,17 @@
 All invocations run in-process through main()."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqseg import checkpoint as ckptmod
 from seqseg import ops
 from seqseg.cli import main
+from seqseg.data import load_dataset
+from seqseg.metrics import evaluate
 from seqseg.network import SegNet
 
 
@@ -211,9 +215,39 @@ class TestEval:
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert lines[-1] == "mean,1.0000"
 
+    def test_phase1_checkpoint_runs_in_phase1(self, tmp_path, dataset_dir, trained_dir):
+        # the phase comes from the checkpoint name: a phase-1 model bypasses
+        # the ConvLSTM, so corrupting context frames changes no prediction
+        ckpt = trained_dir / "checkpoints" / "phase1_epoch000.ckpt"
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--out", str(out), "--corrupt", "gaussian_blur",
+                     "--dump-predictions"]) == 0
+        net = SegNet(ckptmod.load_model_config(trained_dir / "model.json"), mode="phase1")
+        ckptmod.load_model(ckpt, net)
+        evaluate(net, load_dataset(dataset_dir).val, seq_len=4, interval=1,
+                 dump_dir=tmp_path / "direct")
+        preds = sorted((out / "predictions").glob("pred_0*.pgm"))
+        assert len(preds) == 5
+        for p in preds:
+            assert p.read_bytes() == (tmp_path / "direct" / p.name).read_bytes()
+            corrupted = p.with_name(p.name.replace("pred_", "pred_corrupted_"))
+            assert corrupted.read_bytes() == p.read_bytes()
+        mean_row = (out / "report.csv").read_text().strip().splitlines()[-1]
+        assert mean_row.endswith(",0.0000")
+
+    def test_unphased_checkpoint_name_is_data_error(self, tmp_path, dataset_dir,
+                                                    trained_dir, capsys):
+        ckpt = tmp_path / "checkpoints" / "final.ckpt"
+        ckpt.parent.mkdir()
+        shutil.copy(trained_dir / "checkpoints" / "phase2_epoch000.ckpt", ckpt)
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--model-config", str(trained_dir / "model.json"),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert "cannot tell the phase" in capsys.readouterr().err
+
     def test_dimension_mismatch_names_sizes(self, tmp_path, dataset_dir, capsys):
         # a checkpoint built for 44x44 frames cannot evaluate 28x28 data
-        from seqseg import checkpoint as ckptmod
         from seqseg.network import ModelConfig
 
         big = SegNet(ModelConfig(channel_plan=(4, 6, 8, 8), classes=4,
@@ -294,3 +328,18 @@ class TestExitCodes:
     def test_bad_sweep_values_usage_error(self, tmp_path, dataset_dir):
         assert main(["sweep", "--data", str(dataset_dir), "--out", str(tmp_path),
                      "--param", "interval", "--values", "a,b"]) == 1
+
+    def test_truncated_frame_is_data_error(self, tmp_path, dataset_dir, run_cfg_path):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        frame = data / "train" / "clip_0000" / "frame_000.ppm"
+        frame.write_bytes(frame.read_bytes()[:100])
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--config", str(run_cfg_path)]) == 2
+
+    def test_malformed_meta_is_data_error(self, tmp_path, dataset_dir, run_cfg_path):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        (data / "meta.json").write_text('{"config": ')
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--config", str(run_cfg_path)]) == 2

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqseg import gradcheck, ops
-from seqseg.network import ModelConfig, SegNet, flatten_sequences, regroup_step_indices
+from seqseg.convlstm import encode_sequence
+from seqseg.network import ModelConfig, SegNet
 from seqseg.tensor import ShapeError, Tensor
 
 
@@ -29,20 +30,24 @@ class TestFlattenRegroup:
     @given(st.integers(1, 4), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
     def test_bijection(self, n, t):
+        # phase 2 regroups the flat batch into steps: step i of the ConvLSTM
+        # sees frame i of every sequence, in sequence order
         rng = np.random.default_rng(n * 100 + t)
-        seqs = rng.standard_normal((n, t, 3, 2, 2))
-        flat = flatten_sequences(seqs)
-        rebuilt = np.stack(
-            [flat[regroup_step_indices(n, t, i)] for i in range(t)], axis=1)
-        np.testing.assert_array_equal(rebuilt, seqs)
+        net = SegNet(tiny_cfg(), seed=2, dtype=np.float64, mode="phase2")
+        seqs = rng.random((n, t, 3, 16, 16))
+        z = net.extract(Tensor(seqs.reshape(n * t, 3, 16, 16)), t, training=False).data
+        steps = [Tensor(z.reshape((n, t) + z.shape[1:])[:, i]) for i in range(t)]
+        expected = net.decoder(encode_sequence(net.cell, steps), training=False).data
+        np.testing.assert_array_equal(net.forward(seqs, training=False).data, expected)
 
-    def test_flat_index_layout(self):
-        seqs = np.arange(2 * 3).reshape(2, 3, 1, 1, 1).astype(np.float64)
-        flat = flatten_sequences(seqs)
-        # frame t of sequence n lives at row n*T + t
-        for n in range(2):
-            for t in range(3):
-                assert flat[n * 3 + t, 0, 0, 0] == seqs[n, t, 0, 0, 0]
+    def test_flat_index_layout(self, rng):
+        # frame t of sequence n lives at row n*T + t, so phase 1 decodes rows
+        # n*T + T-1, the target frames
+        net = SegNet(tiny_cfg(), seed=2, dtype=np.float64, mode="phase1")
+        seqs = rng.random((2, 3, 3, 16, 16))
+        z = net.extract(Tensor(seqs.reshape(6, 3, 16, 16)), 3, training=False).data
+        expected = net.decoder(Tensor(z[[2, 5]]), training=False).data
+        np.testing.assert_array_equal(net.forward(seqs, training=False).data, expected)
 
     def test_extract_rejects_indivisible_batch(self, net64):
         frames = Tensor(np.zeros((5, 3, 32, 32), dtype=np.float32))
@@ -59,7 +64,7 @@ class TestFlattenRegroup:
         # computation over all T*N frames jointly
         net = SegNet(tiny_cfg(), seed=1, dtype=np.float64)
         seqs = rng.random((2, 3, 3, 16, 16))
-        flat = flatten_sequences(seqs)
+        flat = seqs.reshape(6, 3, 16, 16)
         block = net.extractor.blocks[0]
         pre_bn = ops.conv2d(Tensor(flat), block.W, stride=block.stride,
                             padding=block.dilation, dilation=block.dilation)

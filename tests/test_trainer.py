@@ -125,9 +125,9 @@ def tiny_train_cfg(**kw):
     return TrainConfig(**base)
 
 
-def tiny_net(seed=0):
+def tiny_net(seed=0, dtype=np.float32):
     mc = ModelConfig(channel_plan=(4, 6, 8, 8), classes=4, crop_h=28, crop_w=28)
-    return SegNet(mc, seed=seed, dtype=np.float32, mode="phase1")
+    return SegNet(mc, seed=seed, dtype=dtype, mode="phase1")
 
 
 class TestBuildBatch:
@@ -208,16 +208,17 @@ class TestTrainLoop:
         res_b = train(tiny_net(seed=4), tiny_data, cfg_b, tmp_path / "noisy")
         assert res_a.final_checkpoint.read_bytes() != res_b.final_checkpoint.read_bytes()
 
-    def test_resume_reproduces_run(self, tiny_data, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_resume_reproduces_run(self, tiny_data, tmp_path, dtype):
         cfg = tiny_train_cfg(epochs_phase1=2, epochs_phase2=3)
-        full = train(tiny_net(seed=7), tiny_data, cfg, tmp_path / "full")
+        full = train(tiny_net(seed=7, dtype=dtype), tiny_data, cfg, tmp_path / "full")
 
         # stop after phase2 epoch 0 by training a truncated schedule...
         part_cfg = tiny_train_cfg(epochs_phase1=2, epochs_phase2=1)
         part_dir = tmp_path / "part"
-        part = train(tiny_net(seed=7), tiny_data, part_cfg, part_dir)
+        part = train(tiny_net(seed=7, dtype=dtype), tiny_data, part_cfg, part_dir)
         # ...then resume the full schedule from its checkpoint
-        resumed = train(tiny_net(seed=123), tiny_data, cfg, part_dir,
+        resumed = train(tiny_net(seed=123, dtype=dtype), tiny_data, cfg, part_dir,
                         resume_from=part.final_checkpoint)
         assert resumed.final_checkpoint.name == full.final_checkpoint.name
         assert resumed.final_checkpoint.read_bytes() == full.final_checkpoint.read_bytes()
