@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,22 @@ class CheckpointError(DataError):
     pass
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Write through a temp file beside ``path`` and move it onto ``path``
+    when the block ends, so that a crash leaves the previous file or the new
+    one, never a part; if the block raises, the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_arrays(path, arrays: dict) -> None:
     """Write named float arrays; precision is taken from the first array."""
     if not arrays:
@@ -33,7 +51,7 @@ def save_arrays(path, arrays: dict) -> None:
         raise CheckpointError("all arrays must share one float32/float64 dtype")
     first = next(iter(arrays.values()))
     width = first.dtype.itemsize
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<B", width))
         for name, arr in arrays.items():

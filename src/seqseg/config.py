@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +48,24 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise DataError(f"config file {path} must hold a JSON object")
     return doc
+
+
+def _check_train_types(train_doc: dict) -> None:
+    """Each value must have its TrainConfig field's type: a bool is not an
+    int, an int may stand for a float, and None only for Optional fields."""
+    hints = typing.get_type_hints(TrainConfig)
+    for key, value in train_doc.items():
+        want = hints[key]
+        optional = type(None) in typing.get_args(want)
+        if optional:
+            want = next(a for a in typing.get_args(want) if a is not type(None))
+            if value is None:
+                continue
+        accepted = (int, float) if want is float else want
+        if isinstance(value, accepted) and (want is bool or not isinstance(value, bool)):
+            continue
+        raise DataError(f"train config {key!r} must be {'null or ' if optional else ''}"
+                        f"{want.__name__}, got {value!r}")
 
 
 def load_run_config(path: Optional[str], data_cfg, overrides: Optional[dict] = None):
@@ -94,6 +113,7 @@ def load_run_config(path: Optional[str], data_cfg, overrides: Optional[dict] = N
     except ValueError as exc:
         raise DataError(f"invalid model config: {exc}") from exc
 
+    _check_train_types(train_doc)
     train_cfg = TrainConfig(**train_doc)
     train_cfg.validate()
     return model_cfg, train_cfg

@@ -12,6 +12,12 @@ elementwise product:
 The candidate path has no peephole; the output gate peeks at the current
 cell state. Peephole maps U and biases b are full per-element tensors of
 the feature-map shape, which ties a cell to one spatial resolution.
+
+A step runs two convolutions, not eight (Shi et al. 2015): the four W_g
+and the four V_g kernels are stacked along the output axis once per
+sequence, W * z + V * h_prev gives all gate pre-activations in one
+[N, 4*hidden, H, W] map, and each gate takes its channel slice before its
+peephole and bias terms are added. The parameters stay per gate.
 """
 
 from __future__ import annotations
@@ -84,17 +90,32 @@ class ConvLSTMCell:
                 f"feature maps, got {z.shape}")
 
 
-def cell_step(cell: ConvLSTMCell, z: Tensor, state: ConvLSTMState) -> ConvLSTMState:
-    """Advance the cell one step; differentiable end to end."""
+def stack_kernels(cell: ConvLSTMCell) -> tuple[Tensor, Tensor]:
+    """The W_g and the V_g kernels stacked in GATES order along the output
+    axis; taped, so gradients flow back to the per-gate parameters."""
+    p = cell.params
+    return (ops.concat_kernels([p[f"W_{g}"] for g in GATES]),
+            ops.concat_kernels([p[f"V_{g}"] for g in GATES]))
+
+
+def cell_step(cell: ConvLSTMCell, z: Tensor, state: ConvLSTMState,
+              kernels: tuple[Tensor, Tensor]) -> ConvLSTMState:
+    """Advance the cell one step; differentiable end to end.
+
+    ``kernels`` is ``stack_kernels(cell)``, built once per sequence.
+    """
     cell._check_input(z)
     n = z.shape[0]
     if state.h.shape != (n, cell.hidden_channels, cell.height, cell.width):
         raise ShapeError(f"state shape {state.h.shape} does not match cell/batch")
     p = cell.params
+    w, v = kernels
+    pre_all = ops.add(ops.conv2d(z, w, padding=1), ops.conv2d(state.h, v, padding=1))
+    hid = cell.hidden_channels
 
     def gate_pre(g: str, c_ref: Tensor | None) -> Tensor:
-        pre = ops.add(ops.conv2d(z, p[f"W_{g}"], padding=1),
-                      ops.conv2d(state.h, p[f"V_{g}"], padding=1))
+        k = GATES.index(g)
+        pre = ops.slice_channels(pre_all, k * hid, (k + 1) * hid)
         if c_ref is not None:
             pre = ops.add(pre, ops.hadamard(ops.expand_batch(p[f"U_{g}"], n), c_ref))
         return ops.add(pre, ops.expand_batch(p[f"b_{g}"], n))
@@ -121,6 +142,7 @@ def encode_sequence(cell: ConvLSTMCell, zs: Sequence[Tensor]) -> Tensor:
         if z.shape != first_shape:
             raise ShapeError("encode_sequence: all feature maps must share one shape")
     state = cell.zero_state(first_shape[0])
+    kernels = stack_kernels(cell)
     for z in zs:
-        state = cell_step(cell, z, state)
+        state = cell_step(cell, z, state, kernels)
     return state.h

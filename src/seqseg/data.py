@@ -358,6 +358,11 @@ def load_dataset(root) -> SynthDataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise DataError(f"{meta_path} has no generator config object under 'config'")
+    fps = meta.get("fps")
+    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+        raise DataError(f"{meta_path} has no numeric 'fps'")
     cfg = GenConfig.from_dict(meta["config"])
     splits = {}
     for split in ("train", "val"):
@@ -374,7 +379,7 @@ def load_dataset(root) -> SynthDataset:
                 labels = np.stack([imgio.read_pgm(p) for p in label_paths])
                 clip_id = int(cdir.name.split("_")[-1])
                 clips.append(VideoClip(clip_id=clip_id, frames=frames, labels=labels,
-                                       fps=meta["fps"]))
+                                       fps=fps))
         splits[split] = clips
     if not splits["train"] and not splits["val"]:
         raise DataError(f"dataset at {root} has no clips")

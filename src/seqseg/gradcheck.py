@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ops
-from .convlstm import ConvLSTMCell, cell_step, encode_sequence
+from .convlstm import ConvLSTMCell, cell_step, encode_sequence, stack_kernels
 from .network import ModelConfig, SegNet
 from .tensor import GradTape, Tensor, backward, zero_grads
 
@@ -201,6 +201,16 @@ def check_ops(rng: Optional[np.random.Generator] = None, tolerance: float = 1e-6
     results["concat_channels"] = grad_check(
         lambda: _weighted_sum(ops.concat_channels([c1, c2]), probe), {"a": c1, "b": c2},
         rng=rng, tolerance=tolerance)
+    probe = _probe(rng, (2, 2, 4, 4))
+    results["slice_channels"] = grad_check(
+        lambda: _weighted_sum(ops.slice_channels(c1, 1, 3), probe), {"x": c1},
+        rng=rng, tolerance=tolerance)
+    k1 = _param(rng, (2, 3, 3, 3))
+    k2 = _param(rng, (1, 3, 3, 3))
+    probe = _probe(rng, (3, 3, 3, 3))
+    results["concat_kernels"] = grad_check(
+        lambda: _weighted_sum(ops.concat_kernels([k1, k2]), probe), {"a": k1, "b": k2},
+        rng=rng, tolerance=tolerance)
     results["scale"] = grad_check(
         lambda: ops.sum_all(ops.scale(a, -2.5)), {"a": a}, rng=rng, tolerance=tolerance)
 
@@ -229,7 +239,7 @@ def check_cell(rng: Optional[np.random.Generator] = None, tolerance: float = 1e-
 
     def step_loss():
         state = cell.zero_state(1)
-        state = cell_step(cell, z, state)
+        state = cell_step(cell, z, state, stack_kernels(cell))
         return _weighted_sum(state.h, probe)
 
     results["cell_step"] = grad_check(step_loss, params, rng=rng, tolerance=tolerance)

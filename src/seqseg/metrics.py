@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import imgio
+from .checkpoint import atomic_write
 from .data import IGNORE_INDEX, center_crop_sample, sample_sequence, valid_targets
 from .errors import DataError
 from .noise import corrupt_for_eval
@@ -143,7 +144,7 @@ def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
 def write_report_csv(path, report: EvalReport) -> None:
     """class_id/iou rows plus a final mean row; anti-noise runs add the
     degradation columns."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         if report.corruption is None:
             writer.writerow(["class_id", "iou"])

@@ -1,6 +1,6 @@
 """The differentiable operator set: convolution, batch norm, pointwise
 non-linearities, pooling/upsampling, the segmentation loss, and the small
-structural ops (concat, gather, repeat) the model needs.
+structural ops (concat, slice, gather, repeat) the model needs.
 
 No implicit broadcasting anywhere: binary ops require equal shapes and all
 shape adaptation goes through explicit ops (``expand_batch``). Every forward
@@ -400,6 +400,45 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
         )
 
     return _make("concat_channels", tuple(tensors), out, backward_fn)
+
+
+def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
+    """Channels start:stop of an NCHW tensor."""
+    if x.ndim != 4:
+        raise ShapeError(f"slice_channels expects NCHW input, got {x.shape}")
+    if not 0 <= start < stop <= x.shape[1]:
+        raise ShapeError(f"slice_channels: [{start}:{stop}] is not a non-empty range "
+                         f"of {x.shape[1]} channels")
+    out = np.ascontiguousarray(x.data[:, start:stop])
+
+    def backward_fn(g, needs):
+        if not needs[0]:
+            return (None,)
+        gx = np.zeros_like(x.data)
+        gx[:, start:stop] = g
+        return (gx,)
+
+    return _make("slice_channels", (x,), out, backward_fn)
+
+
+def concat_kernels(kernels: Sequence[Tensor]) -> Tensor:
+    """Stack [Co, Ci, kh, kw] convolution kernels along the output axis."""
+    if not kernels:
+        raise ShapeError("concat_kernels: empty input list")
+    base = kernels[0]
+    for k in kernels:
+        if k.ndim != 4 or k.shape[1:] != base.shape[1:]:
+            raise ShapeError("concat_kernels: kernels must be 4D with equal input and "
+                             f"window dims, got {base.shape} and {k.shape}")
+    _same_dtype("concat_kernels", *kernels)
+    offsets = np.cumsum([0] + [k.shape[0] for k in kernels])
+    out = np.concatenate([k.data for k in kernels], axis=0)
+
+    def backward_fn(g, needs):
+        return tuple(g[offsets[i]:offsets[i + 1]] if needs[i] else None
+                     for i in range(len(kernels)))
+
+    return _make("concat_kernels", tuple(kernels), out, backward_fn)
 
 
 def expand_batch(t: Tensor, n: int) -> Tensor:

@@ -209,7 +209,8 @@ def _save_state(out_dir: Path, net, optimizer: AdamState, phase_idx: int, epoch:
         "optimizer": opt_path.name,
         "optimizer_sha256": ckpt.sha256_of(opt_path),
     }
-    (out_dir / "training_state.json").write_text(json.dumps(state, indent=2) + "\n")
+    with ckpt.atomic_write(out_dir / "training_state.json", "w") as f:
+        f.write(json.dumps(state, indent=2) + "\n")
     return path
 
 

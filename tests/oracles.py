@@ -1,11 +1,16 @@
 """Test-local reference implementations, coded independently of the
 package's operator set: straight loop transcriptions of each operator's
 definition, deliberately slow and simple. The fast paths in ``seqseg.ops``
-and ``seqseg.convlstm`` are checked against them."""
+and ``seqseg.convlstm`` are checked against them. The one exception is
+``convlstm_step_per_gate``, the taped ConvLSTM step with one convolution
+per gate kernel, kept to check the stacked-kernel step against."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from seqseg import ops
+from seqseg.convlstm import ConvLSTMState
 
 
 def sigmoid_two_branch(d: np.ndarray) -> np.ndarray:
@@ -61,6 +66,28 @@ def convlstm_encode_naive(params, zs):
                  + params["U_o"] * c + params["b_o"])
         h = o * np.tanh(c)
     return h, c
+
+
+def convlstm_step_per_gate(cell, z, state):
+    """One taped peephole ConvLSTM step running eight convolutions, one
+    per W_g and V_g kernel, with the terms summed in the order of
+    ``seqseg.convlstm.cell_step``."""
+    n = z.shape[0]
+    p = cell.params
+
+    def gate_pre(g, c_ref):
+        pre = ops.add(ops.conv2d(z, p[f"W_{g}"], padding=1),
+                      ops.conv2d(state.h, p[f"V_{g}"], padding=1))
+        if c_ref is not None:
+            pre = ops.add(pre, ops.hadamard(ops.expand_batch(p[f"U_{g}"], n), c_ref))
+        return ops.add(pre, ops.expand_batch(p[f"b_{g}"], n))
+
+    i = ops.sigmoid(gate_pre("i", state.c))
+    f = ops.sigmoid(gate_pre("f", state.c))
+    cand = ops.tanh(gate_pre("c", None))
+    c = ops.add(ops.hadamard(f, state.c), ops.hadamard(i, cand))
+    o = ops.sigmoid(gate_pre("o", c))
+    return ConvLSTMState(h=ops.hadamard(o, ops.tanh(c)), c=c)
 
 
 def conv2d_naive(

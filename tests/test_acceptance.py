@@ -88,10 +88,11 @@ def test_convlstm_zero_fixed_point():
         p.data = np.zeros_like(p.data)
     zs = [Tensor(rng.standard_normal((2, 3, 6, 6)), dtype="float64") for _ in range(4)]
     state = cell.zero_state(2)
-    from seqseg.convlstm import cell_step
+    from seqseg.convlstm import cell_step, stack_kernels
 
+    kernels = stack_kernels(cell)
     for z in zs:
-        state = cell_step(cell, z, state)
+        state = cell_step(cell, z, state, kernels)
     ok = bool(np.all(state.h.data == 0.0) and np.all(state.c.data == 0.0))
     report("convlstm-zero-fixed-point", ok, "h_T and c_T exactly zero for T=4")
 

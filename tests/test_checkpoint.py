@@ -75,6 +75,47 @@ class TestContainer:
                              {"a": np.ones(2, np.float32), "b": np.ones(2, np.float64)})
 
 
+class _FailsOnWrite:
+    """A float32 array stand-in whose payload cannot be encoded, so a write
+    stops after the records before it."""
+    dtype = np.dtype(np.float32)
+    ndim = 1
+    shape = (3,)
+
+    def astype(self, *args, **kwargs):
+        raise RuntimeError("write interrupted")
+
+
+class TestCrashSafeWrites:
+    def test_interrupted_checkpoint_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        ckpt.save_arrays(path, {"a": np.arange(4, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            ckpt.save_arrays(path, {"a": np.ones(2, dtype=np.float32), "b": _FailsOnWrite()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+    def test_interrupted_first_write_leaves_no_target(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            ckpt.save_arrays(path, {"a": np.ones(2, dtype=np.float32), "b": _FailsOnWrite()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_text_write_replaces_only_when_complete(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("old\n")
+        with pytest.raises(KeyError):
+            with ckpt.atomic_write(path, "w") as f:
+                f.write("partial")
+                raise KeyError("crash")
+        assert path.read_text() == "old\n"
+        with ckpt.atomic_write(path, "w") as f:
+            f.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
 class TestModelCheckpoint:
     def test_model_roundtrip_bitwise(self, tmp_path, rng):
         net = small_net(seed=1)

@@ -343,3 +343,34 @@ class TestExitCodes:
         (data / "meta.json").write_text('{"config": ')
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
                      "--config", str(run_cfg_path)]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {},
+        lambda meta: {"fps": meta["fps"]},
+        lambda meta: {"config": [], "fps": meta["fps"]},
+        lambda meta: [],
+        lambda meta: {"config": meta["config"]},
+        lambda meta: {"config": meta["config"], "fps": str(meta["fps"])},
+    ], ids=["empty", "no-config", "config-not-object", "not-object", "no-fps", "fps-string"])
+    def test_meta_without_config_or_fps_is_data_error(self, tmp_path, dataset_dir,
+                                                       run_cfg_path, edit):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        meta = json.loads((data / "meta.json").read_text())
+        (data / "meta.json").write_text(json.dumps(edit(meta)))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--config", str(run_cfg_path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("seq_len", "4"), ("seq_len", 4.0), ("seq_len", True), ("seq_len", None),
+        ("base_lr", "1e-4"), ("base_lr", False), ("noise_kind", 3),
+        ("noise_cap", 1.5), ("grad_clip", "none"), ("freeze_extractor_phase2", 1),
+    ])
+    def test_mistyped_train_value_is_data_error(self, tmp_path, dataset_dir, key, value):
+        cfg = json.loads(json.dumps(TRAIN_CFG))
+        cfg["train"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(path)]) == 2
+        assert not (tmp_path / "run" / "checkpoints").exists()

@@ -433,3 +433,56 @@ class TestStructuralOps:
         b = Tensor(rng.standard_normal((2, 3, 5, 4)), dtype="float64")
         with pytest.raises(ShapeError):
             ops.concat_channels([a, b])
+
+    def test_slice_channels_takes_range_and_scatters_back(self, rng):
+        x = Tensor(rng.standard_normal((2, 5, 3, 3)), dtype="float64", requires_grad=True)
+        with GradTape() as tape:
+            s = ops.slice_channels(x, 1, 3)
+            loss = ops.sum_all(s)
+        np.testing.assert_array_equal(s.data, x.data[:, 1:3])
+        backward(tape, loss)
+        want = np.zeros((2, 5, 3, 3))
+        want[:, 1:3] = 1.0
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("shape,start,stop", [
+        ((2, 5, 3), 0, 1),           # not NCHW
+        ((2, 5, 3, 3), 2, 2),        # empty range
+        ((2, 5, 3, 3), 3, 1),        # reversed range
+        ((2, 5, 3, 3), -1, 2),       # negative start
+        ((2, 5, 3, 3), 4, 6),        # past the last channel
+    ])
+    def test_slice_channels_bad_range_rejected(self, rng, shape, start, stop):
+        x = Tensor(rng.standard_normal(shape), dtype="float64")
+        with pytest.raises(ShapeError):
+            ops.slice_channels(x, start, stop)
+
+    def test_concat_kernels_stacks_and_splits_back(self, rng):
+        a = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype="float64", requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 3, 3, 3)), dtype="float64", requires_grad=True)
+        probe = rng.standard_normal((3, 3, 3, 3))
+        with GradTape() as tape:
+            k = ops.concat_kernels([a, b])
+            loss = ops.sum_all(ops.hadamard(k, Tensor(probe)))
+        np.testing.assert_array_equal(k.data, np.concatenate([a.data, b.data]))
+        backward(tape, loss)
+        np.testing.assert_array_equal(a.grad, probe[:2])
+        np.testing.assert_array_equal(b.grad, probe[2:])
+
+    @pytest.mark.parametrize("shapes", [
+        [],                                   # nothing to stack
+        [(2, 3, 3, 3), (2, 4, 3, 3)],         # input channels differ
+        [(2, 3, 3, 3), (2, 3, 1, 1)],         # windows differ
+        [(2, 3, 3, 3), (3, 3, 3)],            # not 4D
+        [(9, 3), (9, 3)],                     # not 4D, first kernel
+    ])
+    def test_concat_kernels_mismatch_rejected(self, rng, shapes):
+        kernels = [Tensor(rng.standard_normal(s), dtype="float64") for s in shapes]
+        with pytest.raises(ShapeError):
+            ops.concat_kernels(kernels)
+
+    def test_concat_kernels_mixed_dtypes_rejected(self, rng):
+        a = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype="float64")
+        b = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype="float32")
+        with pytest.raises(ShapeError, match="mixed"):
+            ops.concat_kernels([a, b])
