@@ -64,19 +64,26 @@ def save_arrays(path, arrays: dict) -> None:
             f.write(arr.astype(f"<f{width}", copy=False).tobytes())
 
 
-def load_arrays(path) -> dict:
+def checkpoint_dtype(path) -> np.dtype:
+    """The float dtype that a checkpoint's precision byte names."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
-    blob = path.read_bytes()
-    if blob[:8] != MAGIC:
+    with open(path, "rb") as f:
+        head = f.read(9)
+    if head[:8] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-    if len(blob) < 9:
+    if len(head) < 9:
         raise CheckpointError(f"{path} is truncated")
-    width = blob[8]
-    if width not in (4, 8):
-        raise CheckpointError(f"{path} has invalid precision flag {width}")
-    dtype = np.dtype(f"<f{width}")
+    if head[8] not in (4, 8):
+        raise CheckpointError(f"{path} has invalid precision flag {head[8]}")
+    return np.dtype(f"<f{head[8]}")
+
+
+def load_arrays(path) -> dict:
+    dtype = checkpoint_dtype(path)
+    blob = Path(path).read_bytes()
+    width = dtype.itemsize
     arrays: dict = {}
     off = 9
     try:
@@ -139,17 +146,43 @@ def load_model(path, net) -> None:
     net.load_buffers({name: arrays[name] for name in buffers})
 
 
-def save_model_config(path, model_cfg) -> None:
-    Path(path).write_text(json.dumps(model_cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+def save_model_config(path, model_cfg, **geometry) -> None:
+    doc = {**model_cfg.to_dict(), **geometry}  # geometry: the run's seq_len, interval
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_model_config(path):
-    from .network import ModelConfig
-
+def _read_model_json(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"model config {path} does not exist")
     try:
-        return ModelConfig.from_dict(json.loads(path.read_text()))
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CheckpointError(f"invalid model config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"invalid model config {path}: not a JSON object")
+    return doc
+
+
+def load_model_config(path):
+    from .config import check_types
+    from .network import ModelConfig
+
+    doc = _read_model_json(path)
+    check_types(ModelConfig, doc, "model")
+    try:
+        return ModelConfig.from_dict(doc)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"invalid model config {path}: {exc}") from exc
+
+
+def load_geometry(path) -> dict:
+    """The run's seq_len and interval; absent keys read as TrainConfig's 4, 1."""
+    from .config import check_types
+    from .train import TrainConfig
+
+    doc = {k: v for k, v in _read_model_json(path).items() if k in ("seq_len", "interval")}
+    check_types(TrainConfig, doc, "model")
+    cfg = TrainConfig(**doc)
+    cfg.validate()
+    return {"seq_len": cfg.seq_len, "interval": cfg.interval}

@@ -21,7 +21,6 @@ import dataclasses
 import datetime
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,8 +143,8 @@ def _run_training(data_dir: Path, out_dir: Path, config_path, overrides: dict,
                  mode="phase1")
     result = trainmod.train(net, dataset, train_cfg, out_dir, noise_pool=pool,
                             resume_from=resume)
-    return {"net": net, "result": result, "model_cfg": model_cfg,
-            "train_cfg": train_cfg, "dataset": dataset}
+    return {"result": result, "model_cfg": model_cfg, "train_cfg": train_cfg,
+            "dataset": dataset}
 
 
 def cmd_train(args) -> int:
@@ -175,19 +174,27 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _build_net_from_checkpoint(ckpt_path: Path, model_config_path, dataset) -> SegNet:
+def _score_checkpoint(ckpt_path: Path, model_config_path, dataset, *, corruption,
+                      frames, seed, dump_dir=None):
+    """Score a checkpoint as its run trained it, for ``eval`` and ``sweep``: the
+    phase from its name, the dtype from its precision byte, and seq_len and
+    interval from model.json. Returns the report and those resolved values."""
     if model_config_path is None:
         model_config_path = ckpt_path.parent.parent / "model.json"
     model_cfg = ckpt.load_model_config(model_config_path)
+    geometry = ckpt.load_geometry(model_config_path)
     frame_h, frame_w = dataset.cfg.height, dataset.cfg.width
     if model_cfg.crop_h > frame_h or model_cfg.crop_w > frame_w:
         raise DataError(
             f"network was built for {model_cfg.crop_h}x{model_cfg.crop_w} frames but "
             f"the dataset provides {frame_h}x{frame_w}")
-    net = SegNet(model_cfg, seed=0, dtype=np.float32,
-                 mode=trainmod.checkpoint_mode(ckpt_path))
+    net = SegNet(model_cfg, seed=0, mode=trainmod.checkpoint_mode(ckpt_path),
+                 dtype=ckpt.checkpoint_dtype(ckpt_path))
     ckpt.load_model(ckpt_path, net)
-    return net
+    report = metricsmod.evaluate(net, dataset.val, **geometry, corruption=corruption,
+                                 corrupted_frames=frames, corrupt_seed=seed,
+                                 dump_dir=dump_dir)
+    return report, {**geometry, "precision": net.dtype.name}
 
 
 def _write_class_legend(path: Path, classes: int) -> None:
@@ -217,23 +224,21 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out) if args.out else ckpt_path.parent.parent / "eval"
     frames = _parse_frames(args.frames) if args.frames else (1, 3)
     manifest = _manifest_open(out_dir, "eval", args.seed,
-                              {"corrupt": args.corrupt, "frames": list(frames),
-                               "seq_len": args.seq_len, "interval": args.interval},
+                              {"corrupt": args.corrupt, "frames": list(frames)},
                               {"data": data_dir, "ckpt": ckpt_path, "out": out_dir})
     try:
         dataset = datamod.load_dataset(data_dir)
-        net = _build_net_from_checkpoint(ckpt_path, args.model_config, dataset)
         dump_dir = (out_dir / "predictions") if args.dump_predictions else None
-        report = metricsmod.evaluate(
-            net, dataset.val, seq_len=args.seq_len, interval=args.interval,
-            corruption=args.corrupt, corrupted_frames=frames,
-            corrupt_seed=args.seed, batch_size=args.batch, dump_dir=dump_dir)
+        report, resolved = _score_checkpoint(
+            ckpt_path, args.model_config, dataset, corruption=args.corrupt,
+            frames=frames, seed=args.seed, dump_dir=dump_dir)
         metricsmod.write_report_csv(out_dir / "report.csv", report)
         if dump_dir is not None:
             _write_class_legend(dump_dir / "classes.txt", dataset.cfg.classes)
     except Exception:
         _manifest_close(out_dir, manifest, "failed")
         raise
+    manifest["config"].update(resolved)
     _manifest_close(out_dir, manifest, "completed")
     print(f"mIoU {100.0 * report.mean:.2f}% over {report.targets} targets")
     if report.corruption is not None:
@@ -252,31 +257,6 @@ SWEEP_PARAMS = {
     "noise_kind": ("noise_kind", str),
     "batch_n": ("n_sequences", int),
 }
-
-
-def _run_sweep_cell(cell: dict) -> dict:
-    """One train+eval sub-run; executed in-process or in a worker process."""
-    try:
-        overrides = dict(cell["overrides"])
-        overrides["seed"] = cell["seed"]
-        run = _run_training(Path(cell["data"]), Path(cell["out"]),
-                            cell.get("config"), overrides)
-        report = metricsmod.evaluate(
-            run["net"], run["dataset"].val,
-            seq_len=run["train_cfg"].seq_len, interval=run["train_cfg"].interval,
-            corruption=cell.get("corrupt"), corrupted_frames=tuple(cell["frames"]),
-            corrupt_seed=cell["seed"], batch_size=run["train_cfg"].eval_batch)
-        metricsmod.write_report_csv(Path(cell["out"]) / "report.csv", report)
-        row = {"param": cell["param"], "value": cell["value"], "seed": cell["seed"],
-               "val_miou": f"{report.mean:.4f}", "status": "ok"}
-        if cell.get("corrupt"):
-            row.update({"clean_miou": f"{report.mean:.4f}",
-                        "corrupted_miou": f"{report.corrupted_mean:.4f}",
-                        "degradation": f"{report.degradation:.4f}"})
-        return row
-    except Exception as exc:  # sub-run failures are recorded, not fatal
-        return {"param": cell["param"], "value": cell["value"], "seed": cell["seed"],
-                "val_miou": "", "status": f"failed: {exc}"}
 
 
 def cmd_sweep(args) -> int:
@@ -299,26 +279,28 @@ def cmd_sweep(args) -> int:
                                "seeds": args.seeds, "corrupt": args.corrupt},
                               {"data": args.data, "out": out_dir})
 
-    cells = []
+    rows = []
     base_seed = args.seed if args.seed is not None else 0
     for value in typed:
-        for rep in range(args.seeds):
-            overrides = dict(base_overrides)
-            overrides[field_name] = value
-            cell_dir = out_dir / f"{args.param}_{value}" / f"seed_{base_seed + rep}"
-            cells.append({"param": args.param, "value": value,
-                          "seed": base_seed + rep, "overrides": overrides,
-                          "data": args.data, "out": cell_dir, "config": args.config,
-                          "corrupt": args.corrupt, "frames": list(frames)})
-
-    if args.parallel > 1:
-        workers = args.parallel
-        if _cap:
-            workers = min(workers, max(1, int(_cap)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_cell, cells))
-    else:
-        rows = [_run_sweep_cell(cell) for cell in cells]
+        for seed in range(base_seed, base_seed + args.seeds):
+            row = {"param": args.param, "value": value, "seed": seed, "val_miou": ""}
+            run_dir = out_dir / f"{args.param}_{value}" / f"seed_{seed}"
+            try:
+                run = _run_training(Path(args.data), run_dir, args.config,
+                                    {**base_overrides, field_name: value, "seed": seed})
+                report, _ = _score_checkpoint(
+                    run["result"].final_checkpoint, None, run["dataset"],
+                    corruption=args.corrupt, frames=frames, seed=seed)
+                metricsmod.write_report_csv(run_dir / "report.csv", report)
+            except Exception as exc:  # sub-run failures are recorded, not fatal
+                row["status"] = f"failed: {exc}"
+            else:
+                row.update({"val_miou": f"{report.mean:.4f}", "status": "ok"})
+                if args.corrupt:
+                    row.update({"clean_miou": f"{report.mean:.4f}",
+                                "corrupted_miou": f"{report.corrupted_mean:.4f}",
+                                "degradation": f"{report.degradation:.4f}"})
+            rows.append(row)
 
     columns = ["param", "value", "seed", "val_miou", "status"]
     if args.corrupt:
@@ -389,9 +371,6 @@ def build_parser() -> CliParser:
     p.add_argument("--corrupt", choices=noisemod.CORRUPTION_KINDS)
     p.add_argument("--frames", help="comma-separated 1-based context frames, default 1,3")
     p.add_argument("--dump-predictions", action="store_true")
-    p.add_argument("--seq-len", type=int, default=4)
-    p.add_argument("--interval", type=int, default=1)
-    p.add_argument("--batch", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
 
@@ -404,7 +383,6 @@ def build_parser() -> CliParser:
     p.add_argument("--seeds", type=int, default=1, help="paired seed replicates per value")
     p.add_argument("--corrupt", choices=noisemod.CORRUPTION_KINDS)
     p.add_argument("--frames")
-    p.add_argument("--parallel", type=int, default=1)
     _add_train_flags(p)
     p.set_defaults(fn=cmd_sweep)
 

@@ -9,7 +9,7 @@ Schema (all keys optional, unknown keys rejected):
                  "epochs_phase2": 10, "steps_per_epoch": 40, "base_lr": 1e-4,
                  "lr_drop_factor": 10, "interval": 1, "seed": 0,
                  "precision": "float32", "grad_clip": null,
-                 "freeze_extractor_phase2": false, "eval_batch": 4},
+                 "freeze_extractor_phase2": false},
       "noise": {"noise_kind": "unrelated_data", "p": 0.5, "cap": 2,
                  "reversal_p": 0.5}
     }
@@ -50,22 +50,34 @@ def _read_json(path) -> dict:
     return doc
 
 
-def _check_train_types(train_doc: dict) -> None:
-    """Each value must have its TrainConfig field's type: a bool is not an
-    int, an int may stand for a float, and None only for Optional fields."""
-    hints = typing.get_type_hints(TrainConfig)
-    for key, value in train_doc.items():
+def check_types(cls, doc: dict, section: str) -> None:
+    """Each value must have the JSON type of its ``cls`` field: a bool is not
+    an int, an int may stand for a float, a list of ints stands for a tuple,
+    and null only for an Optional field. Keys that are not fields of ``cls``
+    are left to the caller."""
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        if key not in hints:
+            continue
         want = hints[key]
         optional = type(None) in typing.get_args(want)
         if optional:
             want = next(a for a in typing.get_args(want) if a is not type(None))
             if value is None:
                 continue
-        accepted = (int, float) if want is float else want
-        if isinstance(value, accepted) and (want is bool or not isinstance(value, bool)):
+        if want is tuple:
+            if isinstance(value, list) and all(_is_type(v, int) for v in value):
+                continue
+        elif _is_type(value, want):
             continue
-        raise DataError(f"train config {key!r} must be {'null or ' if optional else ''}"
-                        f"{want.__name__}, got {value!r}")
+        raise DataError(f"{section} config {key!r} must be {'null or ' if optional else ''}"
+                        f"{'a list of int' if want is tuple else want.__name__}, "
+                        f"got {value!r}")
+
+
+def _is_type(value, want: type) -> bool:
+    accepted = (int, float) if want is float else want
+    return isinstance(value, accepted) and (want is bool or not isinstance(value, bool))
 
 
 def load_run_config(path: Optional[str], data_cfg, overrides: Optional[dict] = None):
@@ -101,6 +113,7 @@ def load_run_config(path: Optional[str], data_cfg, overrides: Optional[dict] = N
         else:
             raise DataError(f"unknown config override {key!r}")
 
+    check_types(ModelConfig, model_doc, "model")
     model_cfg = ModelConfig(
         channel_plan=tuple(model_doc.get("channel_plan", ModelConfig.channel_plan)),
         classes=data_cfg.classes,
@@ -113,7 +126,7 @@ def load_run_config(path: Optional[str], data_cfg, overrides: Optional[dict] = N
     except ValueError as exc:
         raise DataError(f"invalid model config: {exc}") from exc
 
-    _check_train_types(train_doc)
+    check_types(TrainConfig, train_doc, "train")
     train_cfg = TrainConfig(**train_doc)
     train_cfg.validate()
     return model_cfg, train_cfg

@@ -72,10 +72,13 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
+        from .config import check_types
+
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise DataError(f"unknown generator config keys: {sorted(unknown)}")
+        check_types(cls, d, "generator")
         cfg = cls(**d)
         cfg.validate()
         return cfg

@@ -15,6 +15,8 @@ from .data import IGNORE_INDEX, center_crop_sample, sample_sequence, valid_targe
 from .errors import DataError
 from .noise import corrupt_for_eval
 
+TARGETS_PER_FORWARD = 4  # eval batch size; predictions do not depend on it
+
 
 class ConfusionMatrix:
     """C x C counts, rows = ground truth, columns = prediction; pixels with
@@ -95,7 +97,7 @@ def _predict_all(net, samples, batch_size: int, dump_dir, prefix: str, cm: Confu
 
 def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
              corruption: Optional[str] = None, corrupted_frames: Sequence[int] = (1, 3),
-             corrupt_seed: int = 0, batch_size: int = 4,
+             corrupt_seed: int = 0, batch_size: int = TARGETS_PER_FORWARD,
              dump_dir=None) -> EvalReport:
     """Deterministic full-validation mIoU; optionally also the corrupted-
     context pass and the resulting degradation.

@@ -41,7 +41,6 @@ class TrainConfig:
     precision: str = "float32"
     grad_clip: Optional[float] = None
     freeze_extractor_phase2: bool = False
-    eval_batch: int = 4
 
     def validate(self) -> None:
         if self.seq_len < 1 or self.n_sequences < 1:
@@ -228,12 +227,28 @@ def _load_optimizer(path, params: dict) -> AdamState:
     return state
 
 
+# the training_state.json fields that resume reads, with their types
+STATE_TYPES = {"phase_index": int, "epochs_done_in_phase": int, "checkpoint_sha256": str,
+               "optimizer": str, "optimizer_sha256": str}
+
+
 def resume_position(out_dir: Path, resume_ckpt: Path) -> dict:
     """Validate the recorded training state against the checkpoint file."""
     state_path = out_dir / "training_state.json"
     if not state_path.exists():
         raise DataError(f"cannot resume: {state_path} missing")
-    state = json.loads(state_path.read_text())
+    try:
+        state = json.loads(state_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"cannot resume: {state_path} is not valid JSON: {exc}") from exc
+    if not isinstance(state, dict) or not all(
+            isinstance(state.get(k), t) for k, t in STATE_TYPES.items()):
+        raise ckpt.CheckpointError(
+            f"cannot resume: {state_path} is not a training state; it needs "
+            + ", ".join(f"{k} ({t.__name__})" for k, t in STATE_TYPES.items()))
+    if state["phase_index"] not in (0, 1) or state["epochs_done_in_phase"] < 1:
+        raise ckpt.CheckpointError(
+            f"cannot resume: {state_path} records no finished epoch of phase 1 or 2")
     actual = ckpt.sha256_of(resume_ckpt)
     if actual != state["checkpoint_sha256"]:
         raise ckpt.CheckpointError(
@@ -251,7 +266,6 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt.save_model_config(out_dir / "model.json", net.cfg)
     policy = NoisePolicy(kind=cfg.noise_kind, p=cfg.noise_p, cap=cfg.noise_cap,
                          reversal_p=cfg.reversal_p, pool=noise_pool)
     phases = [("phase1", cfg.epochs_phase1), ("phase2", cfg.epochs_phase2)]
@@ -270,6 +284,9 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
             start_phase += 1
             start_epoch = 0
             optimizer = None
+    # after the resume checks, so that a refused resume leaves the run's record alone
+    ckpt.save_model_config(out_dir / "model.json", net.cfg, seq_len=cfg.seq_len,
+                           interval=cfg.interval)
 
     log_path = out_dir / "log.csv"
     new_log = not (resume_from is not None and log_path.exists())

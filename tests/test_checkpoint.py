@@ -150,6 +150,21 @@ class TestModelCheckpoint:
         loaded = ckpt.load_model_config(tmp_path / "model.json")
         assert loaded == net.cfg
 
+    def test_geometry_roundtrip_and_default(self, tmp_path):
+        net = small_net()
+        ckpt.save_model_config(tmp_path / "model.json", net.cfg, seq_len=3, interval=2)
+        assert ckpt.load_model_config(tmp_path / "model.json") == net.cfg
+        assert ckpt.load_geometry(tmp_path / "model.json") == {"seq_len": 3, "interval": 2}
+        # written before the geometry was recorded: the defaults of a run
+        ckpt.save_model_config(tmp_path / "old.json", net.cfg)
+        assert ckpt.load_geometry(tmp_path / "old.json") == {"seq_len": 4, "interval": 1}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_checkpoint_dtype_reads_precision_byte(self, tmp_path, dtype):
+        path = tmp_path / "x.ckpt"
+        ckpt.save_arrays(path, {"a": np.zeros(2, dtype=dtype)})
+        assert ckpt.checkpoint_dtype(path) == np.dtype(dtype)
+
     def test_convlstm_names_in_checkpoint(self, tmp_path):
         net = small_net()
         path = tmp_path / "model.ckpt"

@@ -265,6 +265,104 @@ class TestEval:
         assert "44x44" in err and "28x28" in err
 
 
+@pytest.fixture(scope="module")
+def sweep_geometry_dir(tmp_path_factory, dataset_dir):
+    """A sweep whose one sub-run trains at seq_len 3, interval 2 in float64."""
+    cfg = json.loads(json.dumps(TRAIN_CFG))
+    cfg["train"].update({"seq_len": 3, "precision": "float64"})
+    root = tmp_path_factory.mktemp("sweep_geometry")
+    (root / "run.json").write_text(json.dumps(cfg))
+    out = root / "sweep"
+    assert main(["sweep", "--data", str(dataset_dir), "--out", str(out),
+                 "--config", str(root / "run.json"), "--param", "interval",
+                 "--values", "2", "--corrupt", "both", "--frames", "1"]) == 0
+    return out / "interval_2" / "seed_0"
+
+
+class TestScoringFollowsRun:
+    """``eval`` scores a checkpoint with the run's T, interval and precision,
+    so a sweep row and ``seqseg eval`` on that sub-run's checkpoint agree."""
+
+    def test_sweep_report_equals_eval_report(self, tmp_path, dataset_dir,
+                                             sweep_geometry_dir):
+        ckpt = sweep_geometry_dir / "checkpoints" / "phase2_epoch000.ckpt"
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "eval"), "--corrupt", "both",
+                     "--frames", "1"]) == 0
+        assert ((tmp_path / "eval" / "report.csv").read_bytes()
+                == (sweep_geometry_dir / "report.csv").read_bytes())
+
+    def test_eval_scores_the_targets_of_the_run_geometry(self, tmp_path, dataset_dir,
+                                                          sweep_geometry_dir, capsys):
+        ckpt = sweep_geometry_dir / "checkpoints" / "phase2_epoch000.ckpt"
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--out", str(out), "--dump-predictions"]) == 0
+        # 1 val clip of 8 frames, T=3, k=2 -> targets 4..7
+        assert sorted(p.name for p in (out / "predictions").glob("pred_*.pgm")) == [
+            f"pred_0000_{t:03d}.pgm" for t in range(4, 8)]
+        assert "over 4 targets" in capsys.readouterr().out
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["seq_len"], config["interval"], config["precision"]) == (
+            3, 2, "float64")
+
+    def test_float64_checkpoint_evaluates_in_float64(self, tmp_path, dataset_dir,
+                                                     sweep_geometry_dir, monkeypatch):
+        seen = []
+        forward = SegNet.forward
+
+        def recording_forward(self, seqs, training):
+            logits = forward(self, seqs, training)
+            seen.append((seqs, logits.data))
+            return logits
+
+        monkeypatch.setattr(SegNet, "forward", recording_forward)
+        ckpt = sweep_geometry_dir / "checkpoints" / "phase2_epoch000.ckpt"
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 0
+        monkeypatch.undo()
+        net = SegNet(ckptmod.load_model_config(sweep_geometry_dir / "model.json"),
+                     dtype=np.float64, mode="phase2")
+        ckptmod.load_model(ckpt, net)
+        assert seen
+        for seqs, logits in seen:
+            assert logits.dtype == np.float64
+            np.testing.assert_array_equal(logits, net.forward(seqs, training=False).data)
+
+    def test_model_json_without_geometry_reads_as_defaults(self, tmp_path, dataset_dir,
+                                                           trained_dir):
+        # a model.json written before seq_len and interval were recorded
+        doc = json.loads((trained_dir / "model.json").read_text())
+        assert (doc.pop("seq_len"), doc.pop("interval")) == (4, 1)
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir / "checkpoints", run / "checkpoints")
+        (run / "model.json").write_text(json.dumps(doc))
+        for root, out in ((trained_dir, "eval_recorded"), (run, "eval_unrecorded")):
+            assert main(["eval", "--data", str(dataset_dir), "--ckpt",
+                         str(root / "checkpoints" / "phase2_epoch000.ckpt"),
+                         "--out", str(tmp_path / out), "--corrupt", "both",
+                         "--dump-predictions"]) == 0
+        assert (tree_bytes(tmp_path / "eval_recorded")
+                == tree_bytes(tmp_path / "eval_unrecorded"))
+        manifest = json.loads((tmp_path / "eval_unrecorded" / "manifest.json").read_text())
+        config = manifest["config"]
+        assert (config["seq_len"], config["interval"], config["precision"]) == (
+            4, 1, "float32")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seq-len", "3"], ["eval", "--interval", "2"], ["eval", "--batch", "2"],
+        ["sweep", "--parallel", "2"],
+    ], ids=["eval-seq-len", "eval-interval", "eval-batch", "sweep-parallel"])
+    def test_options_the_run_decides_are_gone(self, tmp_path, dataset_dir, trained_dir,
+                                              argv):
+        common = {"eval": ["--data", str(dataset_dir), "--ckpt",
+                           str(trained_dir / "checkpoints" / "phase2_epoch000.ckpt"),
+                           "--out", str(tmp_path / "eval")],
+                  "sweep": ["--data", str(dataset_dir), "--out", str(tmp_path / "sweep"),
+                            "--param", "interval", "--values", "1"]}
+        assert main(argv[:1] + common[argv[0]] + argv[1:]) == 1
+
+
 class TestSweep:
     def test_interval_axis_rows(self, tmp_path, dataset_dir, run_cfg_path):
         out = tmp_path / "sweep"
@@ -316,6 +414,34 @@ class TestGradcheckCommand:
         monkeypatch.setattr(ops, "_d_tanh", lambda out: -(1.0 - out * out))
         assert main(["gradcheck", "--scope", "op"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestResumeState:
+    @pytest.mark.parametrize("edit", [
+        lambda text, state: text[:len(text) // 2],
+        lambda text, state: json.dumps({k: v for k, v in state.items()
+                                        if k != "checkpoint_sha256"}),
+        lambda text, state: json.dumps({**state, "phase_index": "1"}),
+        lambda text, state: json.dumps([state]),
+        lambda text, state: json.dumps({**state, "phase_index": 2}),
+        lambda text, state: json.dumps({**state, "epochs_done_in_phase": -1}),
+    ], ids=["truncated", "no-checkpoint-sha256", "phase-index-string", "not-object",
+            "phase-index-2", "epochs-done-negative"])
+    def test_bad_training_state_is_data_error(self, tmp_path, dataset_dir, trained_dir,
+                                              run_cfg_path, capsys, edit):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        state_path = run / "training_state.json"
+        text = state_path.read_text()
+        state_path.write_text(edit(text, json.loads(text)))
+        model_json = (run / "model.json").read_bytes()
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--config", str(run_cfg_path), "--epochs-phase2", "2", "--interval", "2",
+                     "--resume", str(run / "checkpoints" / "phase2_epoch000.ckpt")]) == 2
+        assert "cannot resume" in capsys.readouterr().err
+        assert not (run / "checkpoints" / "phase2_epoch001.ckpt").exists()
+        # the geometry eval reads is still the one the run trained with
+        assert (run / "model.json").read_bytes() == model_json
 
 
 class TestExitCodes:
@@ -374,3 +500,44 @@ class TestExitCodes:
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
                      "--config", str(path)]) == 2
         assert not (tmp_path / "run" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"clip_len": "40"}, {"height": 28.0}, {"speed_max": "2.5"}, {"seed": True},
+    ], ids=["clip_len-string", "height-float", "speed_max-string", "seed-bool"])
+    def test_mistyped_generator_value_is_data_error(self, tmp_path, cfg):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["gen-data", "--out", str(tmp_path / "ds"), "--config",
+                     str(path)]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("channel_plan", 5), ("channel_plan", [4, 6, 8, "8"]),
+        ("channel_plan", [4, 6, 8, True]),
+        ("ppm_bins", "1,2"), ("crop_h", "x"), ("crop_w", 28.0),
+    ], ids=["channel_plan-int", "channel_plan-string-item", "channel_plan-bool-item",
+            "ppm_bins-string", "crop_h-string", "crop_w-float"])
+    def test_mistyped_model_value_is_data_error(self, tmp_path, dataset_dir, key, value):
+        cfg = json.loads(json.dumps(TRAIN_CFG))
+        cfg["model"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(path)]) == 2
+        assert not (tmp_path / "run" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "channel_plan": 5},
+        lambda doc: {**doc, "crop_h": "28"},
+        lambda doc: {**doc, "seq_len": "3"},
+        lambda doc: {**doc, "interval": 0},
+        lambda doc: [doc],
+    ], ids=["channel_plan-int", "crop_h-string", "seq_len-string", "interval-zero",
+            "not-object"])
+    def test_bad_model_json_is_data_error(self, tmp_path, dataset_dir, trained_dir, edit):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir / "checkpoints", run / "checkpoints")
+        doc = json.loads((trained_dir / "model.json").read_text())
+        (run / "model.json").write_text(json.dumps(edit(doc)))
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt",
+                     str(run / "checkpoints" / "phase2_epoch000.ckpt"),
+                     "--out", str(tmp_path / "eval")]) == 2
