@@ -177,12 +177,14 @@ def cmd_train(args) -> int:
 def _score_checkpoint(ckpt_path: Path, model_config_path, dataset, *, corruption,
                       frames, seed, dump_dir=None):
     """Score a checkpoint as its run trained it, for ``eval`` and ``sweep``: the
-    phase from its name, the dtype from its precision byte, and seq_len and
-    interval from model.json. Returns the report and those resolved values."""
+    phase from its name, the dtype from its precision byte, seq_len and interval
+    from model.json, and by default corrupted frames 1,3,.. below seq_len."""
     if model_config_path is None:
         model_config_path = ckpt_path.parent.parent / "model.json"
     model_cfg = ckpt.load_model_config(model_config_path)
     geometry = ckpt.load_geometry(model_config_path)
+    if frames is None:
+        frames = tuple(range(1, geometry["seq_len"], 2))
     frame_h, frame_w = dataset.cfg.height, dataset.cfg.width
     if model_cfg.crop_h > frame_h or model_cfg.crop_w > frame_w:
         raise DataError(
@@ -194,7 +196,7 @@ def _score_checkpoint(ckpt_path: Path, model_config_path, dataset, *, corruption
     report = metricsmod.evaluate(net, dataset.val, **geometry, corruption=corruption,
                                  corrupted_frames=frames, corrupt_seed=seed,
                                  dump_dir=dump_dir)
-    return report, {**geometry, "precision": net.dtype.name}
+    return report, {**geometry, "precision": net.dtype.name, "frames": list(frames)}
 
 
 def _write_class_legend(path: Path, classes: int) -> None:
@@ -222,9 +224,9 @@ def cmd_eval(args) -> int:
     data_dir = Path(args.data)
     ckpt_path = Path(args.ckpt)
     out_dir = Path(args.out) if args.out else ckpt_path.parent.parent / "eval"
-    frames = _parse_frames(args.frames) if args.frames else (1, 3)
+    frames = _parse_frames(args.frames) if args.frames else None
     manifest = _manifest_open(out_dir, "eval", args.seed,
-                              {"corrupt": args.corrupt, "frames": list(frames)},
+                              {"corrupt": args.corrupt, "frames": frames},
                               {"data": data_dir, "ckpt": ckpt_path, "out": out_dir})
     try:
         dataset = datamod.load_dataset(data_dir)
@@ -272,7 +274,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad value for {args.param}: {exc}")
 
     out_dir = Path(args.out)
-    frames = _parse_frames(args.frames) if args.frames else (1, 3)
+    frames = _parse_frames(args.frames) if args.frames else None
     base_overrides = _train_overrides(args)
     manifest = _manifest_open(out_dir, "sweep", args.seed,
                               {"param": args.param, "values": values,
@@ -369,7 +371,7 @@ def build_parser() -> CliParser:
     p.add_argument("--out")
     p.add_argument("--model-config", help="model.json path (default: next to run)")
     p.add_argument("--corrupt", choices=noisemod.CORRUPTION_KINDS)
-    p.add_argument("--frames", help="comma-separated 1-based context frames, default 1,3")
+    p.add_argument("--frames", help="1-based context frames to corrupt, default 1,3,.. below T")
     p.add_argument("--dump-predictions", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)

@@ -13,7 +13,7 @@ from . import imgio
 from .checkpoint import atomic_write
 from .data import IGNORE_INDEX, center_crop_sample, sample_sequence, valid_targets
 from .errors import DataError
-from .noise import corrupt_for_eval
+from .noise import context_indices, corrupt_for_eval
 
 TARGETS_PER_FORWARD = 4  # eval batch size; predictions do not depend on it
 
@@ -105,6 +105,8 @@ def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
     Every frame with sufficient history is a target (stride 1); no
     augmentation and no training noise are applied.
     """
+    if corruption is not None:
+        context_indices(corrupted_frames, seq_len)
     pairs = valid_targets(val_clips, interval, seq_len)
     if not pairs:
         raise DataError("validation set has no valid targets")

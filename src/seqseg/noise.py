@@ -167,6 +167,15 @@ def apply_noise(sample, policy: NoisePolicy, rng: np.random.Generator):
     return dataclasses.replace(sample, frames=frames), mask
 
 
+def context_indices(frame_indices: Sequence[int], t: int) -> list:
+    """The distinct 1-based context positions, sorted; position T is the target."""
+    indices = sorted(set(int(i) for i in frame_indices))
+    for i in indices:
+        if i < 1 or i > t - 1:
+            raise DataError(f"corruption index {i} outside context range 1..{t - 1}")
+    return indices
+
+
 def corrupt_for_eval(sample, frame_indices: Sequence[int], kind: str, seed: int = 0):
     """Deterministically corrupt exactly the named context frames.
 
@@ -176,11 +185,7 @@ def corrupt_for_eval(sample, frame_indices: Sequence[int], kind: str, seed: int 
     """
     if kind not in CORRUPTION_KINDS:
         raise DataError(f"unknown corruption kind {kind!r}; choose from {CORRUPTION_KINDS}")
-    t = sample.frames.shape[0]
-    indices = sorted(set(int(i) for i in frame_indices))
-    for i in indices:
-        if i < 1 or i > t - 1:
-            raise DataError(f"corruption index {i} outside context range 1..{t - 1}")
+    indices = context_indices(frame_indices, sample.frames.shape[0])
     if not indices:
         return sample
     frames = sample.frames.copy()

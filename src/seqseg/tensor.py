@@ -150,20 +150,21 @@ def backward(tape: GradTape, loss: Tensor) -> None:
         raise TapeError("tape already consumed by a previous backward call")
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-    output_ids = {id(node.output) for node in tape.nodes}
-    if id(loss) not in output_ids:
+    if not any(node.output is loss for node in tape.nodes):
         raise TapeError("loss is not an output recorded on this tape")
 
     tape.consumed = True
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
 
-    for node in reversed(tape.nodes):
+    # pop each node as it is replayed, freeing its output and saved arrays
+    while tape.nodes:
+        node = tape.nodes.pop()
         grad_out = grads.pop(id(node.output), None)
         holders.pop(id(node.output), None)
         if grad_out is None:
             continue
-        needs = tuple(t.requires_grad or id(t) in output_ids for t in node.inputs)
+        needs = tuple(t.requires_grad for t in node.inputs)
         input_grads = node.backward_fn(grad_out, needs)
         for tensor, gin, need in zip(node.inputs, input_grads, needs):
             if not need or gin is None:

@@ -166,7 +166,6 @@ LOG_COLUMNS = ["epoch", "phase", "mean_loss", "lr", "replaced_frames_mean", "wal
 class TrainResult:
     rows: list
     final_checkpoint: Path
-    aborted: bool = False
 
 
 def _step_rng(seed: int, phase_idx: int, epoch: int, step: int) -> np.random.Generator:
@@ -228,8 +227,8 @@ def _load_optimizer(path, params: dict) -> AdamState:
 
 
 # the training_state.json fields that resume reads, with their types
-STATE_TYPES = {"phase_index": int, "epochs_done_in_phase": int, "checkpoint_sha256": str,
-               "optimizer": str, "optimizer_sha256": str}
+STATE_TYPES = {"phase_index": int, "epochs_done_in_phase": int, "checkpoint": str,
+               "checkpoint_sha256": str, "optimizer": str, "optimizer_sha256": str}
 
 
 def resume_position(out_dir: Path, resume_ckpt: Path) -> dict:
@@ -249,6 +248,10 @@ def resume_position(out_dir: Path, resume_ckpt: Path) -> dict:
     if state["phase_index"] not in (0, 1) or state["epochs_done_in_phase"] < 1:
         raise ckpt.CheckpointError(
             f"cannot resume: {state_path} records no finished epoch of phase 1 or 2")
+    if resume_ckpt.name != state["checkpoint"]:
+        raise ckpt.CheckpointError(
+            f"cannot resume from {resume_ckpt.name}: only the run's latest checkpoint, "
+            f"{state['checkpoint']}, can be resumed")
     actual = ckpt.sha256_of(resume_ckpt)
     if actual != state["checkpoint_sha256"]:
         raise ckpt.CheckpointError(
@@ -268,22 +271,23 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = NoisePolicy(kind=cfg.noise_kind, p=cfg.noise_p, cap=cfg.noise_cap,
                          reversal_p=cfg.reversal_p, pool=noise_pool)
-    phases = [("phase1", cfg.epochs_phase1), ("phase2", cfg.epochs_phase2)]
+    phase_epochs = (cfg.epochs_phase1, cfg.epochs_phase2)
+    # the run's epochs in order; an index into it is the global epoch
+    schedule = [(phase_idx, epoch) for phase_idx, count in enumerate(phase_epochs)
+                for epoch in range(count)]
 
-    start_phase, start_epoch = 0, 0
-    optimizer = None
+    start, final = 0, None
     if resume_from is not None:
-        state = resume_position(out_dir, Path(resume_from))
-        ckpt.load_model(resume_from, net)
-        start_phase = int(state["phase_index"])
-        start_epoch = int(state["epochs_done_in_phase"])
-        net.set_mode(checkpoint_mode(resume_from))
-        params = net.trainable_params(cfg.freeze_extractor_phase2 and start_phase == 1)
-        optimizer = _load_optimizer(state["optimizer_path"], params)
-        if start_epoch >= phases[start_phase][1]:
-            start_phase += 1
-            start_epoch = 0
-            optimizer = None
+        final = Path(resume_from)
+        state = resume_position(out_dir, final)
+        recorded = ckpt.load_geometry(out_dir / "model.json")
+        if recorded != {"seq_len": cfg.seq_len, "interval": cfg.interval}:
+            raise DataError(f"cannot resume with seq_len {cfg.seq_len}, interval "
+                            f"{cfg.interval}: the run's model.json records {recorded}")
+        ckpt.load_model(final, net)
+        done_phase = state["phase_index"]
+        start = sum(phase_epochs[:done_phase]) + min(state["epochs_done_in_phase"],
+                                                     phase_epochs[done_phase])
     # after the resume checks, so that a refused resume leaves the run's record alone
     ckpt.save_model_config(out_dir / "model.json", net.cfg, seq_len=cfg.seq_len,
                            interval=cfg.interval)
@@ -296,72 +300,58 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
         log.writerow(LOG_COLUMNS)
 
     rows = []
-    final = None
-    global_epoch = sum(phases[i][1] for i in range(start_phase)) + start_epoch
     try:
-        for phase_idx in range(start_phase, len(phases)):
-            phase_name, phase_epochs = phases[phase_idx]
-            if phase_epochs == 0:
-                continue
+        for global_epoch in range(start, len(schedule)):
+            phase_idx, epoch = schedule[global_epoch]
+            phase_name = f"phase{phase_idx + 1}"
             net.set_mode(phase_name)
-            # entering phase 2 at its first epoch (not resuming into it):
-            # fresh ConvLSTM, fresh Adam state for all trainable parameters
-            if phase_idx == 1 and optimizer is None:
+            # a phase starts with fresh Adam state, and phase 2 with a fresh ConvLSTM
+            if epoch == 0 and phase_idx == 1:
                 net.reinit_cell(derived_seed(cfg.seed, 101))
-            freeze = cfg.freeze_extractor_phase2 and phase_idx == 1
-            params = net.trainable_params(freeze)
-            if optimizer is None:
+            params = net.trainable_params(cfg.freeze_extractor_phase2 and phase_idx == 1)
+            if epoch == 0:
                 optimizer = AdamState.for_params(params)
-
-            first_epoch = start_epoch if phase_idx == start_phase else 0
-            for epoch in range(first_epoch, phase_epochs):
-                lr = lr_schedule(epoch, phase_epochs, cfg.base_lr, cfg.lr_drop_factor)
-                epoch_start = time.perf_counter()
-                losses = []
-                replaced = []
-                for step in range(cfg.steps_per_epoch):
-                    rng = _step_rng(cfg.seed, phase_idx, epoch, step)
-                    samples, masks = build_batch(
-                        dataset.train, cfg, policy, rng, net.cfg.crop_h, net.cfg.crop_w)
-                    seqs, labels = stack_batch(samples)
-                    replaced.extend(m.count for m in masks)
-                    with GradTape() as tape:
-                        logits = net.forward(seqs, training=True)
-                        loss = ops.softmax_ce_loss(logits, labels,
-                                                   ignore_index=IGNORE_INDEX)
-                    value = loss.item()
-                    if not np.isfinite(value):
-                        raise NonFiniteError(
-                            f"non-finite training loss at phase {phase_name} "
-                            f"epoch {epoch} step {step}; last good checkpoint retained")
-                    backward(tape, loss)
-                    if cfg.grad_clip is not None:
-                        clip_gradients(params, cfg.grad_clip)
-                    adam_step(params, optimizer, lr)
-                    zero_grads(params)
-                    losses.append(value)
-                row = {
-                    "epoch": global_epoch,
-                    "phase": phase_name,
-                    "mean_loss": float(np.mean(losses)),
-                    "lr": lr,
-                    "replaced_frames_mean": float(np.mean(replaced)) if replaced else 0.0,
-                    "wall_seconds": time.perf_counter() - epoch_start,
-                }
-                rows.append(row)
-                log.writerow([row["epoch"], row["phase"], f"{row['mean_loss']:.6f}",
-                              f"{row['lr']:.2e}", f"{row['replaced_frames_mean']:.4f}",
-                              f"{row['wall_seconds']:.3f}"])
-                log_file.flush()
-                final = _save_state(out_dir, net, optimizer, phase_idx, epoch,
-                                    f"{phase_name}_epoch{epoch:03d}")
-                global_epoch += 1
-            optimizer = None
-            start_epoch = 0
+            elif global_epoch == start:
+                optimizer = _load_optimizer(state["optimizer_path"], params)
+            lr = lr_schedule(epoch, phase_epochs[phase_idx], cfg.base_lr, cfg.lr_drop_factor)
+            epoch_start = time.perf_counter()
+            losses = []
+            replaced = []
+            for step in range(cfg.steps_per_epoch):
+                rng = _step_rng(cfg.seed, phase_idx, epoch, step)
+                samples, masks = build_batch(
+                    dataset.train, cfg, policy, rng, net.cfg.crop_h, net.cfg.crop_w)
+                seqs, labels = stack_batch(samples)
+                replaced.extend(m.count for m in masks)
+                with GradTape() as tape:
+                    logits = net.forward(seqs, training=True)
+                    loss = ops.softmax_ce_loss(logits, labels, ignore_index=IGNORE_INDEX)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NonFiniteError(
+                        f"non-finite training loss at phase {phase_name} "
+                        f"epoch {epoch} step {step}; last good checkpoint retained")
+                backward(tape, loss)
+                if cfg.grad_clip is not None:
+                    clip_gradients(params, cfg.grad_clip)
+                adam_step(params, optimizer, lr)
+                zero_grads(params)
+                losses.append(value)
+            row = {
+                "epoch": global_epoch,
+                "phase": phase_name,
+                "mean_loss": float(np.mean(losses)),
+                "lr": lr,
+                "replaced_frames_mean": float(np.mean(replaced)),
+                "wall_seconds": time.perf_counter() - epoch_start,
+            }
+            rows.append(row)
+            log.writerow([row["epoch"], row["phase"], f"{row['mean_loss']:.6f}",
+                          f"{row['lr']:.2e}", f"{row['replaced_frames_mean']:.4f}",
+                          f"{row['wall_seconds']:.3f}"])
+            log_file.flush()
+            final = _save_state(out_dir, net, optimizer, phase_idx, epoch,
+                                f"{phase_name}_epoch{epoch:03d}")
     finally:
         log_file.close()
-
-    if final is None:
-        # resume pointed at an already-finished run
-        final = Path(resume_from)
     return TrainResult(rows=rows, final_checkpoint=final)

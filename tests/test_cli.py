@@ -349,6 +349,28 @@ class TestScoringFollowsRun:
         assert (config["seq_len"], config["interval"], config["precision"]) == (
             4, 1, "float32")
 
+    def test_default_frames_follow_the_run_length(self, tmp_path, dataset_dir,
+                                                  sweep_geometry_dir):
+        # T=3: the odd context positions below T are just frame 1
+        ckpt = sweep_geometry_dir / "checkpoints" / "phase2_epoch000.ckpt"
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--out", str(out), "--corrupt", "gaussian_blur"]) == 0
+        mean_row = (out / "report.csv").read_text().splitlines()[-1].split(",")
+        assert mean_row[2:4] == ["gaussian_blur", "1"]
+        assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == [1]
+
+    def test_frame_outside_the_run_context_fails_before_scoring(self, tmp_path, dataset_dir,
+                                                                sweep_geometry_dir, capsys):
+        ckpt = sweep_geometry_dir / "checkpoints" / "phase2_epoch000.ckpt"
+        out = tmp_path / "eval"
+        assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
+                     "--out", str(out), "--corrupt", "gaussian_blur", "--frames", "3",
+                     "--dump-predictions"]) == 2
+        assert "corruption index 3 outside context range 1..2" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        assert not list(out.rglob("*.pgm"))
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--seq-len", "3"], ["eval", "--interval", "2"], ["eval", "--batch", "2"],
         ["sweep", "--parallel", "2"],
@@ -442,6 +464,40 @@ class TestResumeState:
         assert not (run / "checkpoints" / "phase2_epoch001.ckpt").exists()
         # the geometry eval reads is still the one the run trained with
         assert (run / "model.json").read_bytes() == model_json
+
+
+class TestResumeRefusals:
+    """A refused resume exits 2 and leaves every file of the run as it was."""
+
+    def _refused(self, run, dataset_dir, config, resume, extra, capsys):
+        before = tree_bytes(run)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--config", str(config), "--epochs-phase2", "2",
+                     "--resume", str(run / "checkpoints" / resume)] + extra) == 2
+        assert tree_bytes(run) == before
+        return capsys.readouterr().err
+
+    def test_other_geometry_is_refused(self, tmp_path, dataset_dir, trained_dir,
+                                       run_cfg_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        cfg = json.loads(json.dumps(TRAIN_CFG))
+        cfg["train"]["seq_len"] = 3
+        (tmp_path / "t3.json").write_text(json.dumps(cfg))
+        for config, extra in ((run_cfg_path, ["--interval", "2"]),
+                              (tmp_path / "t3.json", [])):
+            err = self._refused(run, dataset_dir, config, "phase2_epoch000.ckpt", extra,
+                                capsys)
+            assert "cannot resume" in err and "'seq_len': 4, 'interval': 1" in err
+
+    def test_only_the_latest_checkpoint_resumes(self, tmp_path, dataset_dir, trained_dir,
+                                                run_cfg_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        err = self._refused(run, dataset_dir, run_cfg_path, "phase1_epoch000.ckpt", [],
+                            capsys)
+        assert ("cannot resume from phase1_epoch000.ckpt: only the run's latest "
+                "checkpoint, phase2_epoch000.ckpt, can be resumed") in err
 
 
 class TestExitCodes:
