@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -96,14 +97,13 @@ def load_arrays(path) -> dict:
             off += 4
             dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
             off += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            nbytes = count * width
+            nbytes = math.prod(dims) * width
             payload = blob[off:off + nbytes]
             if len(payload) != nbytes:
                 raise CheckpointError(f"{path}: truncated payload for {name!r}")
             off += nbytes
             arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    except (struct.error, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError) as exc:  # ValueError: bad UTF-8, too many dims
         raise CheckpointError(f"{path}: corrupt record structure ({exc})") from exc
     if off != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last record")
@@ -137,12 +137,14 @@ def load_model(path, net) -> None:
         extra = sorted(got - expected)
         raise CheckpointError(
             f"checkpoint does not match the model: missing={missing[:5]} extra={extra[:5]}")
-    for name, p in params.items():
-        arr = arrays[name]
-        if arr.shape != p.data.shape:
+    expected_shapes = {name: p.data.shape for name, p in params.items()}
+    expected_shapes.update((name, b.shape) for name, b in buffers.items())
+    for name, shape in expected_shapes.items():
+        if arrays[name].shape != shape:
             raise CheckpointError(
-                f"parameter {name!r}: checkpoint shape {arr.shape} != model {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=False)
+                f"array {name!r}: checkpoint shape {arrays[name].shape} != model {shape}")
+    for name, p in params.items():
+        p.data = arrays[name].astype(p.data.dtype, copy=False)
     net.load_buffers({name: arrays[name] for name in buffers})
 
 

@@ -134,7 +134,7 @@ def _load_pool_if_needed(data_dir: Path, train_cfg) -> noisemod.NoisePool | None
 
 
 def _run_training(data_dir: Path, out_dir: Path, config_path, overrides: dict,
-                  resume=None) -> dict:
+                  resume=None, on_start=None) -> dict:
     dataset = datamod.load_dataset(data_dir)
     model_cfg, train_cfg = cfgmod.load_run_config(config_path, dataset.cfg, overrides)
     pool = _load_pool_if_needed(data_dir, train_cfg)
@@ -142,7 +142,7 @@ def _run_training(data_dir: Path, out_dir: Path, config_path, overrides: dict,
                  dtype=np.float32 if train_cfg.precision == "float32" else np.float64,
                  mode="phase1")
     result = trainmod.train(net, dataset, train_cfg, out_dir, noise_pool=pool,
-                            resume_from=resume)
+                            resume_from=resume, on_start=on_start)
     return {"result": result, "model_cfg": model_cfg, "train_cfg": train_cfg,
             "dataset": dataset}
 
@@ -151,17 +151,25 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
     overrides = _train_overrides(args)
-    manifest = _manifest_open(out_dir, "train", args.seed,
-                              {"overrides": {k: v for k, v in overrides.items()
-                                             if v is not None},
-                               "config_file": args.config},
-                              {"data": data_dir, "out": out_dir,
-                               "resume": args.resume})
+    manifest = {}
+
+    def open_manifest():
+        manifest.update(_manifest_open(
+            out_dir, "train", args.seed,
+            {"overrides": {k: v for k, v in overrides.items() if v is not None},
+             "config_file": args.config},
+            {"data": data_dir, "out": out_dir, "resume": args.resume}))
+
+    # a resume writes its manifest only once train accepts it, so that a
+    # refused resume leaves the run's manifest.json as it was
+    if not args.resume:
+        open_manifest()
     try:
         run = _run_training(data_dir, out_dir, args.config, overrides,
-                            resume=args.resume)
+                            resume=args.resume, on_start=open_manifest if args.resume else None)
     except Exception:
-        _manifest_close(out_dir, manifest, "failed")
+        if manifest:
+            _manifest_close(out_dir, manifest, "failed")
         raise
     manifest["config"]["resolved_train"] = dataclasses.asdict(run["train_cfg"])
     manifest["config"]["resolved_model"] = run["model_cfg"].to_dict()

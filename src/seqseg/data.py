@@ -316,20 +316,17 @@ def augment_sequence(sample: SequenceSample, rng: np.random.Generator, crop_h: i
                                transform_log=log)
 
 
-def center_crop_sample(sample: SequenceSample, crop_h: int, crop_w: int) -> SequenceSample:
-    """Deterministic eval-time crop (no-op when sizes already match)."""
-    _, _, h, w = sample.frames.shape
+def center_crop(a: np.ndarray, crop_h: int, crop_w: int) -> np.ndarray:
+    """Deterministic eval-time crop of the last two axes (no-op when sizes
+    already match)."""
+    h, w = a.shape[-2:]
     if (h, w) == (crop_h, crop_w):
-        return sample
+        return a
     if crop_h > h or crop_w > w:
         raise DataError(f"crop {crop_h}x{crop_w} larger than frame {h}x{w}")
     y0 = (h - crop_h) // 2
     x0 = (w - crop_w) // 2
-    return dataclasses.replace(
-        sample,
-        frames=np.ascontiguousarray(sample.frames[:, :, y0:y0 + crop_h, x0:x0 + crop_w]),
-        target_label=np.ascontiguousarray(
-            sample.target_label[y0:y0 + crop_h, x0:x0 + crop_w]))
+    return np.ascontiguousarray(a[..., y0:y0 + crop_h, x0:x0 + crop_w])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -11,9 +12,11 @@ import numpy as np
 
 from . import imgio
 from .checkpoint import atomic_write
-from .data import IGNORE_INDEX, center_crop_sample, sample_sequence, valid_targets
+from .data import IGNORE_INDEX, center_crop, sample_sequence, valid_targets
 from .errors import DataError
+from .network import GatheredSteps, labels_of
 from .noise import context_indices, corrupt_for_eval
+from .tensor import Tensor
 
 TARGETS_PER_FORWARD = 4  # eval batch size; predictions do not depend on it
 
@@ -83,16 +86,22 @@ class EvalReport:
         return self.mean - self.corrupted_mean
 
 
-def _predict_all(net, samples, batch_size: int, dump_dir, prefix: str, cm: ConfusionMatrix):
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        seqs = np.stack([s.frames for s in chunk])
-        preds = net.predict(seqs)
-        for s, pred in zip(chunk, preds):
-            cm.update(pred, s.target_label)
-            if dump_dir is not None:
-                name = f"{prefix}_{s.clip_id:04d}_{s.target_index:03d}.pgm"
-                imgio.write_pgm(Path(dump_dir) / name, pred.astype(np.uint8))
+def _extract(net, frames: np.ndarray, chunk: int) -> Tensor:
+    """Eval-mode features of independent frames, at most ``chunk`` per call."""
+    return Tensor(np.concatenate([
+        net.extract(net.as_input(frames[i:i + chunk]), 1, training=False).data
+        for i in range(0, len(frames), chunk)]))
+
+
+def _score(net, steps: list, clip_id: int, batch: list, labels: np.ndarray, cm, dump_dir,
+           prefix: str) -> None:
+    """Predict a batch of targets from its ``(features, rows)`` steps."""
+    preds = labels_of(net.head(GatheredSteps(steps), training=False))
+    for target, pred in zip(batch, preds):
+        cm.update(pred, labels[target])
+        if dump_dir is not None:
+            imgio.write_pgm(dump_dir / f"{prefix}_{clip_id:04d}_{target:03d}.pgm",
+                            pred.astype(np.uint8))
 
 
 def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
@@ -103,45 +112,63 @@ def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
     context pass and the resulting degradation.
 
     Every frame with sufficient history is a target (stride 1); no
-    augmentation and no training noise are applied.
+    augmentation and no training noise are applied. One clip at a time,
+    each frame goes through the extractor once; then each batch of targets
+    gathers its steps from the clip's features for the ConvLSTM and the
+    decoder. The corrupted pass extracts only the corrupted context frames
+    and splices their features into the clean steps. In eval mode a
+    frame's features and a target's prediction do not depend on the rest
+    of its batch, so the predictions are those of each target on its own.
     """
-    if corruption is not None:
-        context_indices(corrupted_frames, seq_len)
+    positions = context_indices(corrupted_frames, seq_len) if corruption is not None else []
     pairs = valid_targets(val_clips, interval, seq_len)
     if not pairs:
         raise DataError("validation set has no valid targets")
     if dump_dir is not None:
-        Path(dump_dir).mkdir(parents=True, exist_ok=True)
-    samples = []
-    for cid, target in pairs:
-        s = sample_sequence(val_clips, cid, target, interval, seq_len)
-        samples.append(center_crop_sample(s, net.cfg.crop_h, net.cfg.crop_w))
-    classes = net.cfg.classes
-
-    cm_clean = ConfusionMatrix(classes)
-    _predict_all(net, samples, batch_size, dump_dir, "pred", cm_clean)
-    if dump_dir is not None:
-        for s in samples:
-            imgio.write_pgm(Path(dump_dir) / f"gt_{s.clip_id:04d}_{s.target_index:03d}.pgm",
-                            s.target_label)
+        dump_dir = Path(dump_dir)
+        dump_dir.mkdir(parents=True, exist_ok=True)
+    cm_clean = ConfusionMatrix(net.cfg.classes)
+    cm_bad = ConfusionMatrix(net.cfg.classes)
+    crop = (net.cfg.crop_h, net.cfg.crop_w)
+    chunk = batch_size * seq_len  # no extractor call is larger than a forward's
+    for cid, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        targets = [target for _, target in group]
+        frames = center_crop(val_clips[cid].frames, *crop).astype(np.float32) / 255.0
+        labels = center_crop(val_clips[cid].labels, *crop)
+        feats = _extract(net, frames, chunk)
+        for start in range(0, len(targets), batch_size):
+            batch = targets[start:start + batch_size]
+            # step i of target t reads frame t - (T-1-i)k
+            steps = [(feats, [t - (seq_len - 1 - i) * interval for t in batch])
+                     for i in range(seq_len)]
+            _score(net, steps, cid, batch, labels, cm_clean, dump_dir, "pred")
+            if dump_dir is not None:
+                for target in batch:
+                    imgio.write_pgm(dump_dir / f"gt_{cid:04d}_{target:03d}.pgm",
+                                    labels[target])
+            if corruption is None:
+                continue
+            bad = []
+            for target in batch:
+                sample = sample_sequence(val_clips, cid, target, interval, seq_len)
+                sample.frames = center_crop(sample.frames, *crop)
+                seed = int(np.random.SeedSequence(
+                    entropy=corrupt_seed, spawn_key=(cid, target)).generate_state(1)[0])
+                out = corrupt_for_eval(sample, positions, corruption, seed=seed).frames
+                bad.extend(out[p - 1] for p in positions)
+            if bad:
+                bad_feats = _extract(net, np.stack(bad), chunk)
+                # position positions[k] of the j-th target is row j * len(positions) + k
+                for k, p in enumerate(positions):
+                    steps[p - 1] = (bad_feats, range(k, len(bad), len(positions)))
+            _score(net, steps, cid, batch, labels, cm_bad, dump_dir, "pred_corrupted")
     per_class, mean = miou(cm_clean)
     report = EvalReport(per_class=per_class, mean=mean, evaluated_pixels=cm_clean.total,
-                        targets=len(samples))
-
+                        targets=len(pairs))
     if corruption is not None:
-        corrupted = []
-        for s in samples:
-            seed = int(np.random.SeedSequence(
-                entropy=corrupt_seed, spawn_key=(s.clip_id, s.target_index)
-            ).generate_state(1)[0])
-            corrupted.append(corrupt_for_eval(s, corrupted_frames, corruption, seed=seed))
-        cm_bad = ConfusionMatrix(classes)
-        _predict_all(net, corrupted, batch_size, dump_dir, "pred_corrupted", cm_bad)
-        bad_per_class, bad_mean = miou(cm_bad)
         report.corruption = corruption
         report.corrupted_frames = tuple(corrupted_frames)
-        report.corrupted_per_class = bad_per_class
-        report.corrupted_mean = bad_mean
+        report.corrupted_per_class, report.corrupted_mean = miou(cm_bad)
     return report
 
 

@@ -10,6 +10,7 @@ the ConvLSTM.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,33 +231,68 @@ class SegNet:
 
     # -- forward -----------------------------------------------------------
 
+    def as_input(self, frames: np.ndarray) -> Tensor:
+        """[M, C, H, W] frames as one flat extractor batch in the network's dtype."""
+        h, w = frames.shape[-2:]
+        if (h, w) != (self.cfg.crop_h, self.cfg.crop_w):
+            raise ShapeError(
+                f"network built for {self.cfg.crop_h}x{self.cfg.crop_w} frames, "
+                f"got {h}x{w}")
+        return Tensor(np.ascontiguousarray(frames).astype(self.dtype, copy=False))
+
     def extract(self, frames: Tensor, seq_len: int, training: bool) -> Tensor:
-        """One shared pass over a flattened frame batch (BN sees every frame)."""
+        """One shared pass over a flattened frame batch (BN sees every frame).
+
+        ``seq_len`` is 1 for a batch of independent frames."""
         if frames.shape[0] % seq_len:
             raise ShapeError(
                 f"flattened batch of {frames.shape[0]} frames is not divisible by T={seq_len}")
         return self.extractor(frames, training)
+
+    def head(self, steps: Sequence[Tensor], training: bool) -> Tensor:
+        """Per-step feature maps, oldest first -> target logits: phase 1
+        decodes the last step alone, phase 2 the ConvLSTM's summary of all."""
+        if self.mode == "phase1":
+            return self.decoder(steps[-1], training)
+        return self.decoder(encode_sequence(self.cell, steps), training)
 
     def forward(self, seqs: np.ndarray, training: bool) -> Tensor:
         """[N, T, C, H, W] frame sequences -> [N, classes, H, W] target logits."""
         if seqs.ndim != 5:
             raise ShapeError(f"expected [N, T, C, H, W] sequences, got {seqs.shape}")
         n, t = seqs.shape[:2]
-        h, w = seqs.shape[3], seqs.shape[4]
-        if (h, w) != (self.cfg.crop_h, self.cfg.crop_w):
-            raise ShapeError(
-                f"network built for {self.cfg.crop_h}x{self.cfg.crop_w} frames, "
-                f"got {h}x{w}")
-        flat_np = np.ascontiguousarray(seqs.reshape(n * t, seqs.shape[2], h, w))
-        flat = Tensor(flat_np.astype(self.dtype, copy=False))
-        z = self.extract(flat, t, training)
+        z = self.extract(self.as_input(seqs.reshape((n * t,) + seqs.shape[2:])), t, training)
         # frame i of sequence s sits at row s*t + i of the flat batch
-        if self.mode == "phase1":
-            return self.decoder(ops.gather_batch(z, range(t - 1, n * t, t)), training)
-        steps = [ops.gather_batch(z, range(i, n * t, t)) for i in range(t)]
-        return self.decoder(encode_sequence(self.cell, steps), training)
+        return self.head(GatheredSteps([(z, range(i, n * t, t)) for i in range(t)]), training)
 
     def predict(self, seqs: np.ndarray) -> np.ndarray:
-        """Eval-mode per-pixel argmax labels; ties go to the lowest class id."""
-        logits = self.forward(seqs, training=False)
-        return np.argmax(logits.data, axis=1).astype(np.int64)
+        """Eval-mode per-pixel argmax labels."""
+        return labels_of(self.forward(seqs, training=False))
+
+
+def labels_of(logits: Tensor) -> np.ndarray:
+    """Per-pixel argmax labels of [N, classes, H, W] logits; ties go to the
+    lowest class id."""
+    return np.argmax(logits.data, axis=1).astype(np.int64)
+
+
+class GatheredSteps(Sequence):
+    """A batch's per-step feature maps, step i gathered from the rows of its
+    ``(features, rows)`` source when first read, so that phase 1, which
+    reads only the last step, never gathers the context steps."""
+
+    def __init__(self, sources: list):
+        self.sources = sources
+        self.gathered: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        if i not in self.gathered:
+            z, rows = self.sources[i]
+            self.gathered[i] = ops.gather_batch(z, rows)
+        return self.gathered[i]

@@ -265,7 +265,10 @@ def resume_position(out_dir: Path, resume_ckpt: Path) -> dict:
 
 
 def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
-          resume_from=None) -> TrainResult:
+          resume_from=None, on_start=None) -> TrainResult:
+    """Train the run's epochs from the start, or from ``resume_from``, the
+    run's latest checkpoint. ``on_start`` is called before the run's files
+    are first written, after a resume has passed its checks."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,6 +292,8 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
         start = sum(phase_epochs[:done_phase]) + min(state["epochs_done_in_phase"],
                                                      phase_epochs[done_phase])
     # after the resume checks, so that a refused resume leaves the run's record alone
+    if on_start is not None:
+        on_start()
     ckpt.save_model_config(out_dir / "model.json", net.cfg, seq_len=cfg.seq_len,
                            interval=cfg.interval)
 

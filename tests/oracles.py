@@ -1,16 +1,22 @@
 """Test-local reference implementations, coded independently of the
 package's operator set: straight loop transcriptions of each operator's
 definition, deliberately slow and simple. The fast paths in ``seqseg.ops``
-and ``seqseg.convlstm`` are checked against them. The one exception is
-``convlstm_step_per_gate``, the taped ConvLSTM step with one convolution
-per gate kernel, kept to check the stacked-kernel step against."""
+and ``seqseg.convlstm`` are checked against them. Two exceptions are built
+from the package's own parts: ``convlstm_step_per_gate``, the taped
+ConvLSTM step with one convolution per gate kernel, kept to check the
+stacked-kernel step against, and ``evaluate_by_sample``, the evaluation
+that builds every target's sequence and predicts it whole, kept to check
+the streaming ``seqseg.metrics.evaluate`` against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from seqseg import ops
+from seqseg import imgio, ops
 from seqseg.convlstm import ConvLSTMState
+from seqseg.data import center_crop, sample_sequence, valid_targets
+from seqseg.metrics import ConfusionMatrix, EvalReport, miou
+from seqseg.noise import context_indices, corrupt_for_eval
 
 
 def sigmoid_two_branch(d: np.ndarray) -> np.ndarray:
@@ -173,3 +179,51 @@ def softmax_ce_naive(logits: np.ndarray, labels: np.ndarray, ignore_index: int |
     if count == 0:
         raise ValueError("all pixels ignored")
     return total / count
+
+
+def evaluate_by_sample(net, val_clips, *, seq_len, interval, corruption=None,
+                       corrupted_frames=(1, 3), corrupt_seed=0, batch_size=4, dump_dir=None):
+    """``seqseg.metrics.evaluate`` by sample: build and center-crop every
+    target's T-frame sequence (and every corrupted copy), then predict
+    ``batch_size`` whole sequences per forward."""
+    if corruption is not None:
+        context_indices(corrupted_frames, seq_len)
+    pairs = valid_targets(val_clips, interval, seq_len)
+    if dump_dir is not None:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+    samples = []
+    for cid, target in pairs:
+        s = sample_sequence(val_clips, cid, target, interval, seq_len)
+        s.frames = center_crop(s.frames, net.cfg.crop_h, net.cfg.crop_w)
+        s.target_label = center_crop(s.target_label, net.cfg.crop_h, net.cfg.crop_w)
+        samples.append(s)
+
+    def predict_all(chunked, prefix):
+        cm = ConfusionMatrix(net.cfg.classes)
+        for start in range(0, len(chunked), batch_size):
+            chunk = chunked[start:start + batch_size]
+            for s, pred in zip(chunk, net.predict(np.stack([s.frames for s in chunk]))):
+                cm.update(pred, s.target_label)
+                if dump_dir is not None:
+                    name = f"{prefix}_{s.clip_id:04d}_{s.target_index:03d}.pgm"
+                    imgio.write_pgm(dump_dir / name, pred.astype(np.uint8))
+                    imgio.write_pgm(dump_dir / f"gt_{s.clip_id:04d}_{s.target_index:03d}.pgm",
+                                    s.target_label)
+        return cm
+
+    cm_clean = predict_all(samples, "pred")
+    per_class, mean = miou(cm_clean)
+    report = EvalReport(per_class=per_class, mean=mean, evaluated_pixels=cm_clean.total,
+                        targets=len(samples))
+    if corruption is not None:
+        corrupted = []
+        for s in samples:
+            seed = int(np.random.SeedSequence(
+                entropy=corrupt_seed, spawn_key=(s.clip_id, s.target_index)
+            ).generate_state(1)[0])
+            corrupted.append(corrupt_for_eval(s, corrupted_frames, corruption, seed=seed))
+        report.corruption = corruption
+        report.corrupted_frames = tuple(corrupted_frames)
+        report.corrupted_per_class, report.corrupted_mean = miou(
+            predict_all(corrupted, "pred_corrupted"))
+    return report

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqseg import checkpoint as ckpt
 from seqseg.network import ModelConfig, SegNet
@@ -177,3 +179,51 @@ class TestModelCheckpoint:
         for gate in ("i", "f", "o"):
             assert f"convlstm.U_{gate}" in names
         assert "convlstm.U_c" not in names
+
+
+@pytest.fixture(scope="module")
+def model_blob(tmp_path_factory):
+    """A small model checkpoint's bytes and a scratch path to write variants to."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    ckpt.save_model(path, small_net())
+    return path.read_bytes(), path
+
+
+def _damage(blob: bytes, edit) -> bytes:
+    """``blob`` cut to ``edit`` bytes, or with each ``(position, mask)`` of
+    ``edit`` XOR-ed in."""
+    if isinstance(edit, int):
+        return blob[:edit]
+    out = bytearray(blob)
+    for pos, mask in edit:
+        out[pos] ^= mask
+    return bytes(out)
+
+
+def _shapes(net) -> dict:
+    shapes = {name: p.shape for name, p in net.params().items()}
+    shapes.update((name, b.shape) for name, b in net.buffers().items())
+    return shapes
+
+
+class TestDamagedCheckpoints:
+    """A truncated checkpoint, or one with 3 bytes flipped, either loads into
+    the model, every array in the model's shape, or raises CheckpointError;
+    never another exception."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncation_or_flip_loads_or_raises_checkpoint_error(self, model_blob, data):
+        blob, path = model_blob
+        size = len(blob)
+        flips = st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 255)),
+                         min_size=3, max_size=3, unique_by=lambda flip: flip[0])
+        edit = data.draw(st.one_of(st.integers(0, size - 1), flips), label="edit")
+        path.write_bytes(_damage(blob, edit))
+        net = small_net()
+        shapes = _shapes(net)
+        try:
+            ckpt.load_model(path, net)
+        except ckpt.CheckpointError:
+            return
+        assert _shapes(net) == shapes

@@ -195,19 +195,20 @@ class TestEval:
 
     def test_perfect_oracle_scores_one(self, tmp_path, dataset_dir, trained_dir,
                                        monkeypatch):
-        # stub: predictions replayed from the ground-truth labels in the
-        # deterministic evaluation order
+        # stub: the labels eval reads off each batch's logits are replayed
+        # from the ground truth in the deterministic evaluation order
+        from seqseg import metrics
         from seqseg.data import load_dataset, sample_sequence, valid_targets
 
         ds = load_dataset(dataset_dir)
         queue = [sample_sequence(ds.val, cid, t, 1, 4).target_label
                  for cid, t in valid_targets(ds.val, 1, 4)]
 
-        def perfect_predict(self, seqs):
-            take = [queue.pop(0) for _ in range(seqs.shape[0])]
+        def perfect_labels(logits):
+            take = [queue.pop(0) for _ in range(logits.shape[0])]
             return np.stack(take).astype(np.int64)
 
-        monkeypatch.setattr(SegNet, "predict", perfect_predict)
+        monkeypatch.setattr(metrics, "labels_of", perfect_labels)
         ckpt = trained_dir / "checkpoints" / "phase2_epoch000.ckpt"
         out = tmp_path / "eval"
         assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
@@ -308,15 +309,17 @@ class TestScoringFollowsRun:
 
     def test_float64_checkpoint_evaluates_in_float64(self, tmp_path, dataset_dir,
                                                      sweep_geometry_dir, monkeypatch):
+        # eval runs the network as extract (frames -> features) and head
+        # (per-step features -> logits); record both
         seen = []
-        forward = SegNet.forward
+        for name in ("extract", "head"):
+            def recording(self, x, *args, _original=getattr(SegNet, name), _name=name,
+                          **kwargs):
+                out = _original(self, x, *args, **kwargs)
+                seen.append((_name, x, args, kwargs, out.data))
+                return out
 
-        def recording_forward(self, seqs, training):
-            logits = forward(self, seqs, training)
-            seen.append((seqs, logits.data))
-            return logits
-
-        monkeypatch.setattr(SegNet, "forward", recording_forward)
+            monkeypatch.setattr(SegNet, name, recording)
         ckpt = sweep_geometry_dir / "checkpoints" / "phase2_epoch000.ckpt"
         assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "eval")]) == 0
@@ -324,10 +327,10 @@ class TestScoringFollowsRun:
         net = SegNet(ckptmod.load_model_config(sweep_geometry_dir / "model.json"),
                      dtype=np.float64, mode="phase2")
         ckptmod.load_model(ckpt, net)
-        assert seen
-        for seqs, logits in seen:
-            assert logits.dtype == np.float64
-            np.testing.assert_array_equal(logits, net.forward(seqs, training=False).data)
+        assert {name for name, *_ in seen} == {"extract", "head"}
+        for name, x, args, kwargs, out in seen:
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, getattr(net, name)(x, *args, **kwargs).data)
 
     def test_model_json_without_geometry_reads_as_defaults(self, tmp_path, dataset_dir,
                                                            trained_dir):
@@ -467,14 +470,16 @@ class TestResumeState:
 
 
 class TestResumeRefusals:
-    """A refused resume exits 2 and leaves every file of the run as it was."""
+    """A refused resume exits 2 and leaves every file of the run, its
+    manifest.json included, as it was."""
 
     def _refused(self, run, dataset_dir, config, resume, extra, capsys):
-        before = tree_bytes(run)
+        before = tree_bytes(run, skip=())
+        assert "manifest.json" in before
         assert main(["train", "--data", str(dataset_dir), "--out", str(run),
                      "--config", str(config), "--epochs-phase2", "2",
                      "--resume", str(run / "checkpoints" / resume)] + extra) == 2
-        assert tree_bytes(run) == before
+        assert tree_bytes(run, skip=()) == before
         return capsys.readouterr().err
 
     def test_other_geometry_is_refused(self, tmp_path, dataset_dir, trained_dir,

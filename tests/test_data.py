@@ -11,7 +11,7 @@ from seqseg.data import (
     IGNORE_INDEX,
     SequenceSample,
     augment_sequence,
-    center_crop_sample,
+    center_crop,
     generate_dataset,
     load_dataset,
     sample_sequence,
@@ -236,8 +236,9 @@ class TestAugmentation:
 
     def test_center_crop(self, rng):
         sample = self.make_sample(rng, h=24, w=24)
-        out = center_crop_sample(sample, 16, 16)
-        np.testing.assert_array_equal(out.frames, sample.frames[:, :, 4:20, 4:20])
+        out = center_crop(sample.frames, 16, 16)
+        np.testing.assert_array_equal(out, sample.frames[:, :, 4:20, 4:20])
+        assert center_crop(sample.frames, 24, 24) is sample.frames
 
 
 class TestDiskFormat:

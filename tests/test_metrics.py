@@ -1,11 +1,14 @@
 """Confusion matrix, mIoU arithmetic, and the evaluation loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqseg.data import GenConfig, generate_dataset
+import oracles
+from seqseg.data import GenConfig, center_crop, generate_dataset
 from seqseg.errors import DataError
 from seqseg.metrics import ConfusionMatrix, evaluate, miou, write_report_csv
 from seqseg.network import ModelConfig, SegNet
@@ -166,3 +169,107 @@ class TestEvaluate:
         assert "degradation" in lines[0]
         assert lines[-1].startswith("mean,")
         assert lines[-1].split(",")[2] == "distortion"
+
+
+@pytest.fixture(scope="module")
+def oracle_clips():
+    """Two 8-frame val clips of 32x32 frames around a 3-frame clip too short
+    to hold a target at (T=4, k=1) or (T=3, k=2)."""
+    cfg = GenConfig(height=32, width=32, train_clips=1, val_clips=3, clip_len=8, seed=5)
+    val = generate_dataset(cfg).val
+    short = dataclasses.replace(val[1], frames=val[1].frames[:3], labels=val[1].labels[:3])
+    return [val[0], short, val[2]]
+
+
+def oracle_net(mode, dtype):
+    """A seeded net with a 28x28 crop, smaller than the clips' 32x32 frames,
+    batch-norm running statistics away from their 0/1 start, and ConvLSTM
+    parameters large enough that the context moves the predictions."""
+    mc = ModelConfig(channel_plan=(4, 6, 8, 8), classes=4, crop_h=28, crop_w=28)
+    net = SegNet(mc, seed=2, dtype=dtype, mode=mode)
+    rng = np.random.default_rng(9)
+    for p in net.cell.params.values():
+        p.data = rng.normal(0.0, 1.0, p.shape).astype(dtype)
+    for stats in net.bn_stats().values():
+        stats.mean = rng.normal(0.0, 0.1, stats.mean.shape).astype(dtype)
+        stats.var = rng.uniform(0.5, 2.0, stats.var.shape).astype(dtype)
+    return net
+
+
+def report_fields(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def dumped(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestStreamingMatchesOracle:
+    """``evaluate`` streams each clip once through the extractor; its
+    reports, report.csv and dumps equal, bit for bit, those of building and
+    predicting every target's whole sequence."""
+
+    @pytest.mark.parametrize("corruption", [None, "both"])
+    @pytest.mark.parametrize("seq_len,interval", [(4, 1), (3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["phase1", "phase2"])
+    def test_bitwise_equal(self, oracle_clips, tmp_path, mode, dtype, seq_len, interval,
+                           corruption):
+        net = oracle_net(mode, dtype)
+        kw = dict(seq_len=seq_len, interval=interval, corruption=corruption,
+                  corrupted_frames=tuple(range(1, seq_len, 2)), corrupt_seed=3)
+        want = oracles.evaluate_by_sample(net, oracle_clips, dump_dir=tmp_path / "want", **kw)
+        write_report_csv(tmp_path / "want.csv", want)
+        want_dumps = dumped(tmp_path / "want")
+        assert want.targets == 2 * (8 - (seq_len - 1) * interval)
+        if corruption is not None and mode == "phase2":  # the corrupted pass is not a copy
+            assert any(want_dumps[name] != want_dumps[name.replace("pred_corrupted", "pred")]
+                       for name in want_dumps if name.startswith("pred_corrupted"))
+        for batch_size in (2, 7):
+            out = tmp_path / f"bs{batch_size}"
+            got = evaluate(net, oracle_clips, batch_size=batch_size, dump_dir=out, **kw)
+            write_report_csv(tmp_path / f"bs{batch_size}.csv", got)
+            want_fields, got_fields = report_fields(want), report_fields(got)
+            for name, value in want_fields.items():
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(got_fields[name], value, err_msg=name)
+                else:
+                    assert got_fields[name] == value, name
+            assert ((tmp_path / f"bs{batch_size}.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes())
+            assert dumped(out) == want_dumps
+
+
+class TestExtractorCalls:
+    """Every frame of a clip that holds a target goes through the extractor
+    once; the corrupted pass adds only the corrupted context frames."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = SegNet.extract
+
+        def extract(net, frames, seq_len, training):
+            calls.append(frames.data.copy())
+            return original(net, frames, seq_len, training)
+
+        monkeypatch.setattr(SegNet, "extract", extract)
+        return calls
+
+    @pytest.mark.parametrize("seq_len,interval,frames", [(4, 1, (1, 3)), (3, 2, (1, 2))])
+    @pytest.mark.parametrize("batch_size", [1, 2, 7])
+    def test_rows_extracted(self, oracle_clips, counted, seq_len, interval, frames,
+                            batch_size):
+        net = oracle_net("phase2", np.float32)
+        clean = evaluate(net, oracle_clips, seq_len=seq_len, interval=interval,
+                         batch_size=batch_size)
+        # the 3-frame clip holds no target
+        held = [center_crop(c.frames, 28, 28) / np.float32(255) for c in oracle_clips[::2]]
+        np.testing.assert_array_equal(np.concatenate(counted), np.concatenate(held))
+        rows = [len(frames_in) for frames_in in counted]
+        counted.clear()
+        evaluate(net, oracle_clips, seq_len=seq_len, interval=interval,
+                 batch_size=batch_size, corruption="distortion", corrupted_frames=frames)
+        corrupt_rows = [len(frames_in) for frames_in in counted]
+        assert sum(corrupt_rows) - sum(rows) == clean.targets * len(frames)
+        assert max(rows + corrupt_rows) <= batch_size * seq_len
