@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
                               {"corrupt": args.corrupt, "frames": frames},
                               {"data": data_dir, "ckpt": ckpt_path, "out": out_dir})
     try:
-        dataset = datamod.load_dataset(data_dir)
+        dataset = datamod.load_dataset(data_dir, splits=("val",))
         dump_dir = (out_dir / "predictions") if args.dump_predictions else None
         report, resolved = _score_checkpoint(
             ckpt_path, args.model_config, dataset, corruption=args.corrupt,

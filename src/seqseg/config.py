@@ -7,9 +7,7 @@ Schema (all keys optional, unknown keys rejected):
                  "crop_h": 64, "crop_w": 64},
       "train": {"seq_len": 4, "n_sequences": 4, "epochs_phase1": 10,
                  "epochs_phase2": 10, "steps_per_epoch": 40, "base_lr": 1e-4,
-                 "lr_drop_factor": 10, "interval": 1, "seed": 0,
-                 "precision": "float32", "grad_clip": null,
-                 "freeze_extractor_phase2": false},
+                 "interval": 1, "seed": 0, "precision": "float32"},
       "noise": {"noise_kind": "unrelated_data", "p": 0.5, "cap": 2,
                  "reversal_p": 0.5}
     }

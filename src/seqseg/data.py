@@ -13,7 +13,6 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -128,7 +127,6 @@ class SequenceSample:
     clip_id: int
     target_index: int
     interval: int
-    transform_log: Optional[list] = None
 
 
 def _shape_extent(size: float) -> float:
@@ -293,7 +291,7 @@ def augment_sequence(sample: SequenceSample, rng: np.random.Generator, crop_h: i
     """One transform draw (rotation, flip, crop) applied identically to all
     frames and the target label; labels resample nearest with out-of-canvas
     pixels set to the ignore index, frames bilinear with zero fill."""
-    t, _, h, w = sample.frames.shape
+    h, w = sample.frames.shape[-2:]
     if crop_h > h or crop_w > w:
         raise DataError(f"crop {crop_h}x{crop_w} larger than frame {h}x{w}")
     theta = float(rng.uniform(-max_angle, max_angle))
@@ -311,9 +309,7 @@ def augment_sequence(sample: SequenceSample, rng: np.random.Generator, crop_h: i
     frames = np.ascontiguousarray(frames[:, :, y0:y0 + crop_h, x0:x0 + crop_w],
                                   dtype=np.float32)
     label = np.ascontiguousarray(label[y0:y0 + crop_h, x0:x0 + crop_w])
-    log = [{"theta": theta, "flip": flip, "crop": (y0, x0)} for _ in range(t)]
-    return dataclasses.replace(sample, frames=frames, target_label=label,
-                               transform_log=log)
+    return dataclasses.replace(sample, frames=frames, target_label=label)
 
 
 def center_crop(a: np.ndarray, crop_h: int, crop_w: int) -> np.ndarray:
@@ -349,7 +345,9 @@ def save_dataset(dataset: SynthDataset, out_dir) -> None:
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_dataset(root) -> SynthDataset:
+def load_dataset(root, splits: tuple = ("train", "val")) -> SynthDataset:
+    """The dataset under ``root``; a split not named in ``splits`` is left
+    empty and its files are not read."""
     root = Path(root)
     meta_path = root / "meta.json"
     if not meta_path.exists():
@@ -364,10 +362,9 @@ def load_dataset(root) -> SynthDataset:
     if isinstance(fps, bool) or not isinstance(fps, (int, float)):
         raise DataError(f"{meta_path} has no numeric 'fps'")
     cfg = GenConfig.from_dict(meta["config"])
-    splits = {}
-    for split in ("train", "val"):
+    clips_of = {"train": [], "val": []}
+    for split in splits:
         sdir = root / split
-        clips = []
         if sdir.exists():
             for cdir in sorted(p for p in sdir.iterdir() if p.is_dir()):
                 frame_paths = imgio.list_images(cdir, ".ppm")
@@ -378,9 +375,8 @@ def load_dataset(root) -> SynthDataset:
                                    for p in frame_paths])
                 labels = np.stack([imgio.read_pgm(p) for p in label_paths])
                 clip_id = int(cdir.name.split("_")[-1])
-                clips.append(VideoClip(clip_id=clip_id, frames=frames, labels=labels,
-                                       fps=fps))
-        splits[split] = clips
-    if not splits["train"] and not splits["val"]:
+                clips_of[split].append(VideoClip(clip_id=clip_id, frames=frames,
+                                                 labels=labels, fps=fps))
+    if not clips_of["train"] and not clips_of["val"]:
         raise DataError(f"dataset at {root} has no clips")
-    return SynthDataset(cfg=cfg, train=splits["train"], val=splits["val"])
+    return SynthDataset(cfg=cfg, train=clips_of["train"], val=clips_of["val"])

@@ -14,8 +14,8 @@ from . import imgio
 from .checkpoint import atomic_write
 from .data import IGNORE_INDEX, center_crop, sample_sequence, valid_targets
 from .errors import DataError
-from .network import GatheredSteps, labels_of
-from .noise import context_indices, corrupt_for_eval
+from .network import labels_of
+from .noise import CORRUPTION_KINDS, context_indices, corrupt_for_eval
 from .tensor import Tensor
 
 TARGETS_PER_FORWARD = 4  # eval batch size; predictions do not depend on it
@@ -93,10 +93,9 @@ def _extract(net, frames: np.ndarray, chunk: int) -> Tensor:
         for i in range(0, len(frames), chunk)]))
 
 
-def _score(net, steps: list, clip_id: int, batch: list, labels: np.ndarray, cm, dump_dir,
-           prefix: str) -> None:
-    """Predict a batch of targets from its ``(features, rows)`` steps."""
-    preds = labels_of(net.head(GatheredSteps(steps), training=False))
+def _record(preds: np.ndarray, clip_id: int, batch: list, labels: np.ndarray, cm, dump_dir,
+            prefix: str) -> None:
+    """Count a batch of target predictions, and dump them if asked."""
     for target, pred in zip(batch, preds):
         cm.update(pred, labels[target])
         if dump_dir is not None:
@@ -116,10 +115,15 @@ def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
     each frame goes through the extractor once; then each batch of targets
     gathers its steps from the clip's features for the ConvLSTM and the
     decoder. The corrupted pass extracts only the corrupted context frames
-    and splices their features into the clean steps. In eval mode a
-    frame's features and a target's prediction do not depend on the rest
-    of its batch, so the predictions are those of each target on its own.
+    and splices their features into the clean steps; in phase 1, whose
+    prediction reads only the target frame, it reuses the clean
+    predictions. In eval mode a frame's features and a target's prediction
+    do not depend on the rest of its batch, so the predictions are those of
+    each target on its own.
     """
+    if corruption is not None and corruption not in CORRUPTION_KINDS:
+        raise DataError(f"unknown corruption kind {corruption!r}; "
+                        f"choose from {CORRUPTION_KINDS}")
     positions = context_indices(corrupted_frames, seq_len) if corruption is not None else []
     pairs = valid_targets(val_clips, interval, seq_len)
     if not pairs:
@@ -138,30 +142,34 @@ def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
         feats = _extract(net, frames, chunk)
         for start in range(0, len(targets), batch_size):
             batch = targets[start:start + batch_size]
-            # step i of target t reads frame t - (T-1-i)k
-            steps = [(feats, [t - (seq_len - 1 - i) * interval for t in batch])
-                     for i in range(seq_len)]
-            _score(net, steps, cid, batch, labels, cm_clean, dump_dir, "pred")
+            # a clip's targets are consecutive frames, and step i of target t
+            # reads frame t - (T-1-i)k
+            steps = [(feats, range(batch[0] - lag, batch[-1] + 1 - lag))
+                     for lag in range((seq_len - 1) * interval, -1, -interval)]
+            preds = labels_of(net.head(steps, training=False))
+            _record(preds, cid, batch, labels, cm_clean, dump_dir, "pred")
             if dump_dir is not None:
                 for target in batch:
                     imgio.write_pgm(dump_dir / f"gt_{cid:04d}_{target:03d}.pgm",
                                     labels[target])
             if corruption is None:
                 continue
-            bad = []
-            for target in batch:
-                sample = sample_sequence(val_clips, cid, target, interval, seq_len)
-                sample.frames = center_crop(sample.frames, *crop)
-                seed = int(np.random.SeedSequence(
-                    entropy=corrupt_seed, spawn_key=(cid, target)).generate_state(1)[0])
-                out = corrupt_for_eval(sample, positions, corruption, seed=seed).frames
-                bad.extend(out[p - 1] for p in positions)
-            if bad:
+            # phase 1 reads only the target frame, which corruption never touches
+            if positions and net.mode == "phase2":
+                bad = []
+                for target in batch:
+                    sample = sample_sequence(val_clips, cid, target, interval, seq_len)
+                    sample.frames = center_crop(sample.frames, *crop)
+                    seed = int(np.random.SeedSequence(
+                        entropy=corrupt_seed, spawn_key=(cid, target)).generate_state(1)[0])
+                    out = corrupt_for_eval(sample, positions, corruption, seed=seed).frames
+                    bad.extend(out[p - 1] for p in positions)
                 bad_feats = _extract(net, np.stack(bad), chunk)
                 # position positions[k] of the j-th target is row j * len(positions) + k
                 for k, p in enumerate(positions):
                     steps[p - 1] = (bad_feats, range(k, len(bad), len(positions)))
-            _score(net, steps, cid, batch, labels, cm_bad, dump_dir, "pred_corrupted")
+                preds = labels_of(net.head(steps, training=False))
+            _record(preds, cid, batch, labels, cm_bad, dump_dir, "pred_corrupted")
     per_class, mean = miou(cm_clean)
     report = EvalReport(per_class=per_class, mean=mean, evaluated_pixels=cm_clean.total,
                         targets=len(pairs))

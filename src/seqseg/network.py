@@ -10,7 +10,6 @@ the ConvLSTM.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,12 +199,10 @@ class SegNet:
         out["decoder.classify.b"] = self.decoder.cls_b
         return out
 
-    def trainable_params(self, freeze_extractor: bool = False) -> dict:
+    def trainable_params(self) -> dict:
         params = self.params()
         if self.mode == "phase1":
             params = {k: v for k, v in params.items() if not k.startswith("convlstm.")}
-        if freeze_extractor:
-            params = {k: v for k, v in params.items() if not k.startswith("extractor.")}
         return params
 
     def bn_stats(self) -> dict:
@@ -249,12 +246,14 @@ class SegNet:
                 f"flattened batch of {frames.shape[0]} frames is not divisible by T={seq_len}")
         return self.extractor(frames, training)
 
-    def head(self, steps: Sequence[Tensor], training: bool) -> Tensor:
-        """Per-step feature maps, oldest first -> target logits: phase 1
-        decodes the last step alone, phase 2 the ConvLSTM's summary of all."""
+    def head(self, steps: list, training: bool) -> Tensor:
+        """Per-step ``(features, rows)`` pairs, oldest first -> target logits:
+        phase 1 decodes the last step alone, phase 2 the ConvLSTM's summary
+        of all. Only the steps a phase reads are gathered."""
         if self.mode == "phase1":
-            return self.decoder(steps[-1], training)
-        return self.decoder(encode_sequence(self.cell, steps), training)
+            return self.decoder(ops.gather_batch(*steps[-1]), training)
+        zs = [ops.gather_batch(z, rows) for z, rows in steps]
+        return self.decoder(encode_sequence(self.cell, zs), training)
 
     def forward(self, seqs: np.ndarray, training: bool) -> Tensor:
         """[N, T, C, H, W] frame sequences -> [N, classes, H, W] target logits."""
@@ -263,7 +262,7 @@ class SegNet:
         n, t = seqs.shape[:2]
         z = self.extract(self.as_input(seqs.reshape((n * t,) + seqs.shape[2:])), t, training)
         # frame i of sequence s sits at row s*t + i of the flat batch
-        return self.head(GatheredSteps([(z, range(i, n * t, t)) for i in range(t)]), training)
+        return self.head([(z, range(i, n * t, t)) for i in range(t)], training)
 
     def predict(self, seqs: np.ndarray) -> np.ndarray:
         """Eval-mode per-pixel argmax labels."""
@@ -274,25 +273,3 @@ def labels_of(logits: Tensor) -> np.ndarray:
     """Per-pixel argmax labels of [N, classes, H, W] logits; ties go to the
     lowest class id."""
     return np.argmax(logits.data, axis=1).astype(np.int64)
-
-
-class GatheredSteps(Sequence):
-    """A batch's per-step feature maps, step i gathered from the rows of its
-    ``(features, rows)`` source when first read, so that phase 1, which
-    reads only the last step, never gathers the context steps."""
-
-    def __init__(self, sources: list):
-        self.sources = sources
-        self.gathered: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.sources)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        if i not in self.gathered:
-            z, rows = self.sources[i]
-            self.gathered[i] = ops.gather_batch(z, rows)
-        return self.gathered[i]

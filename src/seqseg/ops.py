@@ -455,23 +455,23 @@ def expand_batch(t: Tensor, n: int) -> Tensor:
     return _make("expand_batch", (t,), out, backward_fn)
 
 
-def gather_batch(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows along the batch axis (used to regroup flattened sequences)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("gather_batch: indices must be a non-empty 1D sequence")
-    if idx.min() < 0 or idx.max() >= x.shape[0]:
-        raise ShapeError(f"gather_batch: indices out of range for batch {x.shape[0]}")
-    out = x.data[idx]
+def gather_batch(x: Tensor, rows: range) -> Tensor:
+    """Select a non-empty ascending ``range`` of rows along the batch axis
+    (how the flat N*T batch is regrouped by time step)."""
+    if not isinstance(rows, range) or not rows or rows.step < 1:
+        raise ShapeError(f"gather_batch: rows must be a non-empty ascending range, got {rows!r}")
+    if rows[0] < 0 or rows[-1] >= x.shape[0]:
+        raise ShapeError(f"gather_batch: rows {rows!r} out of range for batch {x.shape[0]}")
+    sl = slice(rows[0], rows[-1] + 1, rows.step)
 
     def backward_fn(g, needs):
         if not needs[0]:
             return (None,)
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        gx[sl] += g  # as a scatter-add: 0.0 + -0.0 is +0.0
         return (gx,)
 
-    return _make("gather_batch", (x,), out, backward_fn)
+    return _make("gather_batch", (x,), x.data[sl], backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -483,12 +483,3 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(x.shape, g.item(), dtype=x.data.dtype),)
 
     return _make("sum_all", (x,), out, backward_fn)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward_fn(g, needs):
-        return (g * c,) if needs[0] else (None,)
-
-    return _make("scale", (x,), x.data * x.data.dtype.type(c), backward_fn)

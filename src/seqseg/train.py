@@ -31,7 +31,6 @@ class TrainConfig:
     epochs_phase2: int = 10
     steps_per_epoch: int = 40
     base_lr: float = 1e-4
-    lr_drop_factor: float = 10.0
     interval: int = 1
     noise_kind: str = "none"
     noise_p: float = 0.5
@@ -39,8 +38,6 @@ class TrainConfig:
     reversal_p: float = 0.5
     seed: int = 0
     precision: str = "float32"
-    grad_clip: Optional[float] = None
-    freeze_extractor_phase2: bool = False
 
     def validate(self) -> None:
         if self.seq_len < 1 or self.n_sequences < 1:
@@ -53,8 +50,8 @@ class TrainConfig:
             raise DataError("interval must be >= 1")
         if self.precision not in ("float32", "float64"):
             raise DataError("precision must be float32 or float64")
-        if self.base_lr <= 0 or self.lr_drop_factor <= 0:
-            raise DataError("learning rate and drop factor must be positive")
+        if self.base_lr <= 0:
+            raise DataError("learning rate must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +97,15 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
         p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
 
 
-def clip_gradients(params: dict, max_norm: float) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
+LR_DROP_FACTOR = 10.0
 
 
-def lr_schedule(epoch: int, total_epochs: int, base_lr: float,
-                drop_factor: float = 10.0) -> float:
-    """Step schedule: base LR, dropped by the factor at ceil(total/2)."""
+def lr_schedule(epoch: int, total_epochs: int, base_lr: float) -> float:
+    """Step schedule: base LR, divided by LR_DROP_FACTOR from epoch ceil(total/2)."""
     if not 0 <= epoch < total_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {total_epochs})")
     half = (total_epochs + 1) // 2
-    return base_lr if epoch < half else base_lr / drop_factor
+    return base_lr if epoch < half else base_lr / LR_DROP_FACTOR
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +298,12 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
             # a phase starts with fresh Adam state, and phase 2 with a fresh ConvLSTM
             if epoch == 0 and phase_idx == 1:
                 net.reinit_cell(derived_seed(cfg.seed, 101))
-            params = net.trainable_params(cfg.freeze_extractor_phase2 and phase_idx == 1)
+            params = net.trainable_params()
             if epoch == 0:
                 optimizer = AdamState.for_params(params)
             elif global_epoch == start:
                 optimizer = _load_optimizer(state["optimizer_path"], params)
-            lr = lr_schedule(epoch, phase_epochs[phase_idx], cfg.base_lr, cfg.lr_drop_factor)
+            lr = lr_schedule(epoch, phase_epochs[phase_idx], cfg.base_lr)
             epoch_start = time.perf_counter()
             losses = []
             replaced = []
@@ -337,8 +322,6 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
                         f"non-finite training loss at phase {phase_name} "
                         f"epoch {epoch} step {step}; last good checkpoint retained")
                 backward(tape, loss)
-                if cfg.grad_clip is not None:
-                    clip_gradients(params, cfg.grad_clip)
                 adam_step(params, optimizer, lr)
                 zero_grads(params)
                 losses.append(value)

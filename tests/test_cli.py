@@ -237,6 +237,18 @@ class TestEval:
         mean_row = (out / "report.csv").read_text().strip().splitlines()[-1]
         assert mean_row.endswith(",0.0000")
 
+    def test_reads_only_the_val_split(self, tmp_path, dataset_dir, trained_dir):
+        # a clip directory that load_dataset refuses as incomplete, in train/
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        (data / "train" / "clip_0000" / "frame_000.ppm").unlink()
+        ckpt = trained_dir / "checkpoints" / "phase2_epoch000.ckpt"
+        for name, source in (("want", dataset_dir), ("got", data)):
+            assert main(["eval", "--data", str(source), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "got" / "report.csv").read_bytes()
+                == (tmp_path / "want" / "report.csv").read_bytes())
+
     def test_unphased_checkpoint_name_is_data_error(self, tmp_path, dataset_dir,
                                                     trained_dir, capsys):
         ckpt = tmp_path / "checkpoints" / "final.ckpt"
@@ -551,7 +563,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [
         ("seq_len", "4"), ("seq_len", 4.0), ("seq_len", True), ("seq_len", None),
         ("base_lr", "1e-4"), ("base_lr", False), ("noise_kind", 3),
-        ("noise_cap", 1.5), ("grad_clip", "none"), ("freeze_extractor_phase2", 1),
+        ("noise_cap", 1.5),
+        ("lr_drop_factor", 10.0),  # a removed option, now an unknown key
     ])
     def test_mistyped_train_value_is_data_error(self, tmp_path, dataset_dir, key, value):
         cfg = json.loads(json.dumps(TRAIN_CFG))

@@ -133,6 +133,16 @@ class TestEvaluate:
         assert report.corrupted_mean == report.mean
         assert report.degradation == 0.0
 
+    def test_unknown_corruption_rejected_in_phase1(self, eval_setup):
+        # a phase-1 corrupted pass corrupts nothing, but still checks its kind
+        ds, net = eval_setup
+        net.set_mode("phase1")
+        try:
+            with pytest.raises(DataError, match="unknown corruption kind"):
+                evaluate(net, ds.val, seq_len=4, interval=1, corruption="snow")
+        finally:
+            net.set_mode("phase2")
+
     def test_degradation_is_literal_difference(self, eval_setup):
         ds, net = eval_setup
         report = evaluate(net, ds.val, seq_len=4, interval=1,
@@ -273,3 +283,15 @@ class TestExtractorCalls:
         corrupt_rows = [len(frames_in) for frames_in in counted]
         assert sum(corrupt_rows) - sum(rows) == clean.targets * len(frames)
         assert max(rows + corrupt_rows) <= batch_size * seq_len
+
+    @pytest.mark.parametrize("seq_len,interval,frames", [(4, 1, (1, 3)), (3, 2, (1, 2))])
+    def test_phase1_corrupted_pass_extracts_nothing(self, oracle_clips, counted, seq_len,
+                                                    interval, frames):
+        # a phase-1 prediction reads only the target frame, which is never corrupted
+        net = oracle_net("phase1", np.float32)
+        evaluate(net, oracle_clips, seq_len=seq_len, interval=interval, batch_size=2)
+        rows = sum(len(frames_in) for frames_in in counted)
+        counted.clear()
+        evaluate(net, oracle_clips, seq_len=seq_len, interval=interval, batch_size=2,
+                 corruption="distortion", corrupted_frames=frames)
+        assert sum(len(frames_in) for frames_in in counted) == rows

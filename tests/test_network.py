@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from seqseg import gradcheck, ops
 from seqseg.convlstm import encode_sequence
 from seqseg.network import ModelConfig, SegNet
-from seqseg.tensor import ShapeError, Tensor
+from seqseg.tensor import GradTape, ShapeError, Tensor
 
 
 def tiny_cfg(**kw):
@@ -115,6 +115,19 @@ class TestForward:
         seqs = rng.random((3, 4, 3, 32, 32)).astype(np.float32)
         logits = net64.forward(seqs, training=False)
         assert logits.shape == (3, 4, 32, 32)
+
+    @pytest.mark.parametrize("mode,nodes,gathers", [("phase1", 35, 1), ("phase2", 172, 4)])
+    def test_training_step_tape(self, rng, mode, nodes, gathers):
+        # a default training step gathers only the steps its phase reads:
+        # the target step in phase 1, all T=4 in phase 2
+        net = SegNet(ModelConfig(), seed=0, mode=mode)
+        seqs = rng.random((2, 4, 3, 64, 64), dtype=np.float32)
+        labels = rng.integers(0, 4, size=(2, 64, 64))
+        with GradTape() as tape:
+            ops.softmax_ce_loss(net.forward(seqs, training=True), labels)
+        recorded = [node.op for node in tape.nodes]
+        assert len(recorded) == nodes
+        assert recorded.count("gather_batch") == gathers
 
 
 class TestPredict:

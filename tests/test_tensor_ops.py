@@ -358,12 +358,13 @@ class TestBackward:
 
     def test_non_finite_gradient_flagged_with_op_id(self):
         x = Tensor(np.array([1e-250]), dtype="float64", requires_grad=True)
+        c = Tensor(np.array([1e200]), dtype="float64")
         with GradTape() as tape:
-            loss = ops.scale(ops.scale(x, 1e200), 1e200)
+            loss = ops.hadamard(ops.hadamard(x, c), c)
         with pytest.raises(NonFiniteError) as exc, np.errstate(over="ignore"):
             backward(tape, loss)
-        assert exc.value.op == "scale"
-        assert exc.value.op_id is not None
+        assert exc.value.op == "hadamard"
+        assert exc.value.op_id == 0  # the inner product's gradient, 1e200 * 1e200
 
     def test_grads_accumulate_across_tapes_until_reset(self, rng):
         x = Tensor(rng.standard_normal((3,)), dtype="float64", requires_grad=True)
@@ -375,9 +376,10 @@ class TestBackward:
 
     def test_forward_overflow_is_an_error(self):
         x = Tensor(np.array([1e300]), dtype="float64")
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError) as exc:
             with np.errstate(over="ignore"):
-                ops.scale(ops.scale(x, 1e300), 1e300)
+                ops.hadamard(x, x)
+        assert exc.value.op == "hadamard"
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +414,32 @@ class TestStructuralOps:
         backward(tape, loss)
         np.testing.assert_array_equal(u.grad, np.full((2, 3, 3), 5.0))
 
-    def test_gather_batch_with_repeats(self, rng):
-        x = Tensor(rng.standard_normal((4, 2)), dtype="float64", requires_grad=True)
+    @pytest.mark.parametrize("rows", [[1, 3], range(3, 0, -1), range(2, 2), range(1, 6, 2),
+                                      range(-1, 2)],
+                             ids=["list", "descending", "empty", "past-end", "negative"])
+    def test_gather_batch_takes_only_an_in_bounds_ascending_range(self, rows):
+        x = Tensor(np.zeros((5, 2)), dtype="float64")
+        with pytest.raises(ShapeError):
+            ops.gather_batch(x, rows)
+
+    @pytest.mark.parametrize("rows", [range(7), range(1, 7, 3), range(6, 7), range(2, 8, 2)])
+    def test_gather_batch_forward_is_the_slice(self, rng, rows):
+        x = Tensor(rng.standard_normal((7, 2, 3)), dtype="float64")
+        np.testing.assert_array_equal(ops.gather_batch(x, rows).data,
+                                      x.data[rows.start:rows.stop:rows.step])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gather_batch_backward_matches_add_at(self, rng, dtype):
+        x = Tensor(rng.standard_normal((7, 2, 3)), dtype=dtype, requires_grad=True)
+        rows = range(1, 7, 2)
+        g = rng.standard_normal((3, 2, 3)).astype(dtype)
+        g[0, 1] = -0.0  # a scatter-add turns a -0.0 gradient into +0.0
         with GradTape() as tape:
-            g = ops.gather_batch(x, [1, 1, 3])
-            loss = ops.sum_all(g)
+            loss = ops.sum_all(ops.hadamard(ops.gather_batch(x, rows), Tensor(g)))
         backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, np.array([[0, 0], [2, 2], [0, 0], [1, 1]],
-                                                       dtype=np.float64))
+        want = np.zeros_like(x.data)
+        np.add.at(want, np.array(rows), g)
+        assert x.grad.tobytes() == want.tobytes()
 
     def test_concat_channels_roundtrip(self, rng):
         a = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype="float64", requires_grad=True)
