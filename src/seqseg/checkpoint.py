@@ -2,14 +2,15 @@
 
 Binary layout: 8-byte magic "NLSTM001", one precision byte (4 or 8), then
 per-array records: u32 little-endian name length, UTF-8 name, u32 rank,
-u32 dims, raw little-endian float payload. Nothing else; integrity is
-tracked by a sha256 recorded in the run's training-state sidecar JSON.
+u32 dims, raw little-endian float payload. Nothing else: the container has
+no checksum of its own. ``train`` records each checkpoint's sha256 in the
+run's ``training_state.json`` and checks it on resume only; ``eval`` trusts
+the checkpoint it is given.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import struct
@@ -146,45 +147,3 @@ def load_model(path, net) -> None:
     for name, p in params.items():
         p.data = arrays[name].astype(p.data.dtype, copy=False)
     net.load_buffers({name: arrays[name] for name in buffers})
-
-
-def save_model_config(path, model_cfg, **geometry) -> None:
-    doc = {**model_cfg.to_dict(), **geometry}  # geometry: the run's seq_len, interval
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _read_model_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"model config {path} does not exist")
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise CheckpointError(f"invalid model config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"invalid model config {path}: not a JSON object")
-    return doc
-
-
-def load_model_config(path):
-    from .config import check_types
-    from .network import ModelConfig
-
-    doc = _read_model_json(path)
-    check_types(ModelConfig, doc, "model")
-    try:
-        return ModelConfig.from_dict(doc)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"invalid model config {path}: {exc}") from exc
-
-
-def load_geometry(path) -> dict:
-    """The run's seq_len and interval; absent keys read as TrainConfig's 4, 1."""
-    from .config import check_types
-    from .train import TrainConfig
-
-    doc = {k: v for k, v in _read_model_json(path).items() if k in ("seq_len", "interval")}
-    check_types(TrainConfig, doc, "model")
-    cfg = TrainConfig(**doc)
-    cfg.validate()
-    return {"seq_len": cfg.seq_len, "interval": cfg.interval}

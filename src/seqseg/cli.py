@@ -88,8 +88,10 @@ def cmd_gen_data(args) -> int:
         raise DataError(f"output directory {out} is not empty (use --force to overwrite)")
     overrides = {"train_clips": args.clips, "val_clips": args.val_clips,
                  "seed": args.seed}
-    gen_cfg = cfgmod.gen_config_from(args.config, overrides)
-    manifest = _manifest_open(out, "gen-data", gen_cfg.seed, gen_cfg.to_dict(),
+    doc = cfgmod.read_json(args.config) if args.config else {}
+    doc.update((k, v) for k, v in overrides.items() if v is not None)
+    gen_cfg = datamod.GenConfig.from_dict(doc)
+    manifest = _manifest_open(out, "gen-data", gen_cfg.seed, dataclasses.asdict(gen_cfg),
                               {"out": out})
     try:
         dataset = datamod.generate_dataset(gen_cfg)
@@ -172,7 +174,7 @@ def cmd_train(args) -> int:
             _manifest_close(out_dir, manifest, "failed")
         raise
     manifest["config"]["resolved_train"] = dataclasses.asdict(run["train_cfg"])
-    manifest["config"]["resolved_model"] = run["model_cfg"].to_dict()
+    manifest["config"]["resolved_model"] = dataclasses.asdict(run["model_cfg"])
     _manifest_close(out_dir, manifest, "completed")
     print(f"training complete; final checkpoint {run['result'].final_checkpoint}")
     return 0
@@ -189,8 +191,7 @@ def _score_checkpoint(ckpt_path: Path, model_config_path, dataset, *, corruption
     from model.json, and by default corrupted frames 1,3,.. below seq_len."""
     if model_config_path is None:
         model_config_path = ckpt_path.parent.parent / "model.json"
-    model_cfg = ckpt.load_model_config(model_config_path)
-    geometry = ckpt.load_geometry(model_config_path)
+    model_cfg, geometry = cfgmod.load_model_json(model_config_path)
     if frames is None:
         frames = tuple(range(1, geometry["seq_len"], 2))
     frame_h, frame_w = dataset.cfg.height, dataset.cfg.width
@@ -276,6 +277,8 @@ def cmd_sweep(args) -> int:
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise UsageError("--values must list at least one value")
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     try:
         typed = [caster(v) for v in values]
     except ValueError as exc:
@@ -414,8 +417,7 @@ def _add_train_flags(p) -> None:
     p.add_argument("--steps-per-epoch", type=int, dest="steps_per_epoch")
     p.add_argument("--lr", type=float)
     p.add_argument("--crop", type=int)
-    if not any(a.dest == "seed" for a in p._actions):
-        p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int)
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imgio, imutil
+from .config import build
 from .errors import DataError
 
 IGNORE_INDEX = 255
@@ -30,6 +31,10 @@ BASE_COLORS = {
 }
 SIZE_RANGE = (5.0, 9.0)
 JUMP_FACTOR = 4.0
+# the training augmentation: rotation within +-MAX_ANGLE degrees, then a
+# horizontal flip with probability FLIP_P
+MAX_ANGLE = 10.0
+FLIP_P = 0.5
 
 
 @dataclass
@@ -65,22 +70,14 @@ class GenConfig:
                 "(a shape would overlap the whole frame)")
         if not 0.0 <= self.jump_prob <= 1.0:
             raise DataError("jump_prob must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        if min(self.train_clips, self.val_clips, self.pool_images) < 0:
+            raise DataError("train_clips, val_clips and pool_images must be >= 0")
+        if self.speed_min > self.speed_max:
+            raise DataError("speed_min must not exceed speed_max")
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
-        from .config import check_types
-
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise DataError(f"unknown generator config keys: {sorted(unknown)}")
-        check_types(cls, d, "generator")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return build(cls, d, "generator config")
 
 
 @dataclass
@@ -286,22 +283,23 @@ def _rotate_coords(h: int, w: int, theta_deg: float):
 
 
 def augment_sequence(sample: SequenceSample, rng: np.random.Generator, crop_h: int,
-                     crop_w: int, max_angle: float = 10.0,
-                     flip_p: float = 0.5) -> SequenceSample:
+                     crop_w: int) -> SequenceSample:
     """One transform draw (rotation, flip, crop) applied identically to all
     frames and the target label; labels resample nearest with out-of-canvas
     pixels set to the ignore index, frames bilinear with zero fill."""
     h, w = sample.frames.shape[-2:]
     if crop_h > h or crop_w > w:
         raise DataError(f"crop {crop_h}x{crop_w} larger than frame {h}x{w}")
-    theta = float(rng.uniform(-max_angle, max_angle))
-    flip = bool(rng.random() < flip_p)
+    theta = float(rng.uniform(-MAX_ANGLE, MAX_ANGLE))
+    flip = bool(rng.random() < FLIP_P)
     y0 = int(rng.integers(0, h - crop_h + 1))
     x0 = int(rng.integers(0, w - crop_w + 1))
 
     sy, sx = _rotate_coords(h, w, theta)
-    frames = np.stack([imutil.sample_bilinear(fr, sy, sx, fill=0.0)
-                       for fr in sample.frames])
+    # the T frames share the coordinates: warp their channels as one image
+    t, c = sample.frames.shape[:2]
+    frames = imutil.sample_bilinear(sample.frames.reshape(t * c, h, w), sy, sx,
+                                    fill=0.0).reshape(t, c, h, w)
     label = imutil.sample_nearest(sample.target_label, sy, sx, fill=IGNORE_INDEX)
     if flip:
         frames = frames[:, :, :, ::-1]
@@ -339,7 +337,7 @@ def save_dataset(dataset: SynthDataset, out_dir) -> None:
                 imgio.write_ppm(cdir / f"frame_{t:03d}.ppm",
                                 clip.frames[t].transpose(1, 2, 0))
                 imgio.write_pgm(cdir / f"label_{t:03d}.pgm", clip.labels[t])
-    meta = {"config": dataset.cfg.to_dict(), "fps": dataset.cfg.fps,
+    meta = {"config": dataclasses.asdict(dataset.cfg), "fps": dataset.cfg.fps,
             "ignore_index": IGNORE_INDEX,
             "format": {"frames": "P6 ppm", "labels": "P5 pgm (value = class id)"}}
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

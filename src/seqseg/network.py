@@ -10,70 +10,12 @@ the ConvLSTM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
+from .config import ModelConfig
 from .convlstm import ConvLSTMCell, encode_sequence
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class ModelConfig:
-    frame_channels: int = 3
-    channel_plan: tuple = (16, 32, 64, 64)
-    classes: int = 4
-    ppm_bins: tuple = (1, 2, 3, 6)
-    crop_h: int = 64
-    crop_w: int = 64
-
-    @property
-    def hidden_channels(self) -> int:
-        return self.channel_plan[-1]
-
-    @property
-    def feature_h(self) -> int:
-        return self.crop_h // 4
-
-    @property
-    def feature_w(self) -> int:
-        return self.crop_w // 4
-
-    def validate(self) -> None:
-        if len(self.channel_plan) != 4:
-            raise ValueError("channel_plan must list 4 block widths")
-        if self.crop_h % 4 or self.crop_w % 4:
-            raise ValueError("crop dims must be divisible by 4 (two stride-2 blocks)")
-        if self.hidden_channels % 4:
-            raise ValueError("last channel width must be divisible by 4 (pyramid paths)")
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
-        if max(self.ppm_bins) > min(self.feature_h, self.feature_w):
-            raise ValueError("largest pyramid bin exceeds the feature-map size")
-
-    def to_dict(self) -> dict:
-        return {
-            "frame_channels": self.frame_channels,
-            "channel_plan": list(self.channel_plan),
-            "classes": self.classes,
-            "ppm_bins": list(self.ppm_bins),
-            "crop_h": self.crop_h,
-            "crop_w": self.crop_w,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        cfg = cls(
-            frame_channels=int(d["frame_channels"]),
-            channel_plan=tuple(d["channel_plan"]),
-            classes=int(d["classes"]),
-            ppm_bins=tuple(d["ppm_bins"]),
-            crop_h=int(d["crop_h"]),
-            crop_w=int(d["crop_w"]),
-        )
-        cfg.validate()
-        return cfg
 
 
 def _kernel(rng: np.random.Generator, cout: int, cin: int, k: int, dt) -> Tensor:

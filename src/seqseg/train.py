@@ -11,47 +11,16 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import ops
+from .config import TrainConfig, load_model_json, save_model_json
 from .data import IGNORE_INDEX, augment_sequence, sample_sequence, valid_targets
 from .errors import DataError
 from .noise import NoisePolicy, apply_noise
 from .tensor import GradTape, NonFiniteError, backward, zero_grads
-
-
-@dataclass
-class TrainConfig:
-    seq_len: int = 4              # frames per sequence, target last
-    n_sequences: int = 4          # sequences per batch
-    epochs_phase1: int = 10
-    epochs_phase2: int = 10
-    steps_per_epoch: int = 40
-    base_lr: float = 1e-4
-    interval: int = 1
-    noise_kind: str = "none"
-    noise_p: float = 0.5
-    noise_cap: Optional[int] = None
-    reversal_p: float = 0.5
-    seed: int = 0
-    precision: str = "float32"
-
-    def validate(self) -> None:
-        if self.seq_len < 1 or self.n_sequences < 1:
-            raise DataError("seq_len and n_sequences must be >= 1")
-        if self.epochs_phase1 < 1 or self.epochs_phase2 < 0:
-            raise DataError("need at least 1 epoch in phase 1")
-        if self.steps_per_epoch < 1:
-            raise DataError("steps_per_epoch must be >= 1")
-        if self.interval < 1:
-            raise DataError("interval must be >= 1")
-        if self.precision not in ("float32", "float64"):
-            raise DataError("precision must be float32 or float64")
-        if self.base_lr <= 0:
-            raise DataError("learning rate must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +237,7 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
     if resume_from is not None:
         final = Path(resume_from)
         state = resume_position(out_dir, final)
-        recorded = ckpt.load_geometry(out_dir / "model.json")
+        _, recorded = load_model_json(out_dir / "model.json")
         if recorded != {"seq_len": cfg.seq_len, "interval": cfg.interval}:
             raise DataError(f"cannot resume with seq_len {cfg.seq_len}, interval "
                             f"{cfg.interval}: the run's model.json records {recorded}")
@@ -279,8 +248,7 @@ def train(net, dataset, cfg: TrainConfig, out_dir, noise_pool=None,
     # after the resume checks, so that a refused resume leaves the run's record alone
     if on_start is not None:
         on_start()
-    ckpt.save_model_config(out_dir / "model.json", net.cfg, seq_len=cfg.seq_len,
-                           interval=cfg.interval)
+    save_model_json(out_dir / "model.json", net.cfg, cfg)
 
     log_path = out_dir / "log.csv"
     new_log = not (resume_from is not None and log_path.exists())

@@ -1,5 +1,7 @@
 """The binary checkpoint container and model save/load."""
 
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqseg import checkpoint as ckpt
+from seqseg.config import TrainConfig, load_model_json, save_model_json
 from seqseg.network import ModelConfig, SegNet
 
 
@@ -148,18 +151,19 @@ class TestModelCheckpoint:
 
     def test_model_config_roundtrip(self, tmp_path):
         net = small_net()
-        ckpt.save_model_config(tmp_path / "model.json", net.cfg)
-        loaded = ckpt.load_model_config(tmp_path / "model.json")
+        save_model_json(tmp_path / "model.json", net.cfg, TrainConfig())
+        loaded, _ = load_model_json(tmp_path / "model.json")
         assert loaded == net.cfg
 
     def test_geometry_roundtrip_and_default(self, tmp_path):
         net = small_net()
-        ckpt.save_model_config(tmp_path / "model.json", net.cfg, seq_len=3, interval=2)
-        assert ckpt.load_model_config(tmp_path / "model.json") == net.cfg
-        assert ckpt.load_geometry(tmp_path / "model.json") == {"seq_len": 3, "interval": 2}
+        save_model_json(tmp_path / "model.json", net.cfg, TrainConfig(seq_len=3, interval=2))
+        assert load_model_json(tmp_path / "model.json") == (
+            net.cfg, {"seq_len": 3, "interval": 2})
         # written before the geometry was recorded: the defaults of a run
-        ckpt.save_model_config(tmp_path / "old.json", net.cfg)
-        assert ckpt.load_geometry(tmp_path / "old.json") == {"seq_len": 4, "interval": 1}
+        (tmp_path / "old.json").write_text(json.dumps(dataclasses.asdict(net.cfg)))
+        assert load_model_json(tmp_path / "old.json") == (
+            net.cfg, {"seq_len": 4, "interval": 1})
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_checkpoint_dtype_reads_precision_byte(self, tmp_path, dtype):

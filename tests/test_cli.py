@@ -1,7 +1,10 @@
 """CLI surface: subcommands, exit codes, manifests, and artifact layout.
 All invocations run in-process through main()."""
 
+import builtins
+import io
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from seqseg import checkpoint as ckptmod
 from seqseg import ops
 from seqseg.cli import main
+from seqseg.config import TrainConfig, load_model_json, save_model_json
 from seqseg.data import load_dataset
 from seqseg.metrics import evaluate
 from seqseg.network import SegNet
@@ -99,9 +103,9 @@ class TestGenData:
 
 class TestRunConfig:
     def test_noise_section_configures_policy(self, tmp_path, dataset_dir):
-        cfg = dict(TRAIN_CFG)
-        cfg["noise"] = {"noise_kind": "random_tensor", "p": 1.0, "cap": 1,
-                       "reversal_p": 0.0}
+        cfg = json.loads(json.dumps(TRAIN_CFG))
+        cfg["train"].update({"noise_kind": "random_tensor", "noise_p": 1.0, "noise_cap": 1,
+                             "reversal_p": 0.0})
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
@@ -117,10 +121,15 @@ class TestRunConfig:
         assert all(row.split(",")[4] == "1.0000" for row in log)
 
     def test_unknown_section_rejected(self, tmp_path, dataset_dir):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"optimizer": {}}))
-        assert main(["train", "--data", str(dataset_dir), "--out",
-                     str(tmp_path / "o"), "--config", str(path)]) == 2
+        # "noise" once spelled the train section's noise_kind, noise_p,
+        # noise_cap and reversal_p a second way; a section must be an object
+        for section in ({"optimizer": {}}, {"noise": {"noise_kind": "random_tensor"}},
+                        {"train": 5}, {"model": [["crop_h", 28]]}):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(section))
+            assert main(["train", "--data", str(dataset_dir), "--out",
+                         str(tmp_path / "o"), "--config", str(path)]) == 2
+            assert not (tmp_path / "o" / "checkpoints").exists()
 
 
 class TestTrain:
@@ -157,6 +166,47 @@ class TestTrain:
         a = (full / "checkpoints" / "phase2_epoch001.ckpt").read_bytes()
         b = (part / "checkpoints" / "phase2_epoch001.ckpt").read_bytes()
         assert a == b
+
+    def test_interrupted_model_json_write_keeps_previous_file(self, tmp_path, dataset_dir,
+                                                              trained_dir, run_cfg_path,
+                                                              monkeypatch):
+        # a resume rewrites model.json; let that write fail half way, as on a full disk
+        run = tmp_path / "run"
+        shutil.copytree(trained_dir, run)
+        before = (run / "model.json").read_bytes()
+        real_open = builtins.open
+
+        class HalfWritten:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[:len(text) // 2])
+                self.f.flush()
+                raise OSError(28, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if (isinstance(file, (str, os.PathLike)) and "w" in mode
+                    and Path(file).name.startswith("model.json")):
+                return HalfWritten(f)
+            return f
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        monkeypatch.setattr(io, "open", failing_open)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--config", str(run_cfg_path), "--epochs-phase2", "2",
+                     "--resume", str(run / "checkpoints" / "phase2_epoch000.ckpt")]) == 2
+        monkeypatch.undo()
+        assert (run / "model.json").read_bytes() == before
+        assert sorted(p.name for p in run.iterdir() if p.name.startswith("model.json")) == [
+            "model.json"]
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out",
@@ -224,7 +274,7 @@ class TestEval:
         assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
                      "--out", str(out), "--corrupt", "gaussian_blur",
                      "--dump-predictions"]) == 0
-        net = SegNet(ckptmod.load_model_config(trained_dir / "model.json"), mode="phase1")
+        net = SegNet(load_model_json(trained_dir / "model.json")[0], mode="phase1")
         ckptmod.load_model(ckpt, net)
         evaluate(net, load_dataset(dataset_dir).val, seq_len=4, interval=1,
                  dump_dir=tmp_path / "direct")
@@ -269,7 +319,7 @@ class TestEval:
         run = tmp_path / "bigrun"
         (run / "checkpoints").mkdir(parents=True)
         ckptmod.save_model(run / "checkpoints" / "model.ckpt", big)
-        ckptmod.save_model_config(run / "model.json", big.cfg)
+        save_model_json(run / "model.json", big.cfg, TrainConfig())
         code = main(["eval", "--data", str(dataset_dir), "--ckpt",
                      str(run / "checkpoints" / "model.ckpt"),
                      "--out", str(tmp_path / "e")])
@@ -336,7 +386,7 @@ class TestScoringFollowsRun:
         assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
                      "--out", str(tmp_path / "eval")]) == 0
         monkeypatch.undo()
-        net = SegNet(ckptmod.load_model_config(sweep_geometry_dir / "model.json"),
+        net = SegNet(load_model_json(sweep_geometry_dir / "model.json")[0],
                      dtype=np.float64, mode="phase2")
         ckptmod.load_model(ckpt, net)
         assert {name for name, *_ in seen} == {"extract", "head"}
@@ -528,6 +578,13 @@ class TestExitCodes:
         assert main(["sweep", "--data", str(dataset_dir), "--out", str(tmp_path),
                      "--param", "interval", "--values", "a,b"]) == 1
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_sweep_seeds_below_one_usage_error(self, tmp_path, dataset_dir, seeds):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(dataset_dir), "--out", str(out),
+                     "--param", "interval", "--values", "1", "--seeds", seeds]) == 1
+        assert not out.exists()
+
     def test_truncated_frame_is_data_error(self, tmp_path, dataset_dir, run_cfg_path):
         data = tmp_path / "ds"
         shutil.copytree(dataset_dir, data)
@@ -575,21 +632,28 @@ class TestExitCodes:
                      "--config", str(path)]) == 2
         assert not (tmp_path / "run" / "checkpoints").exists()
 
-    @pytest.mark.parametrize("cfg", [
-        {"clip_len": "40"}, {"height": 28.0}, {"speed_max": "2.5"}, {"seed": True},
-    ], ids=["clip_len-string", "height-float", "speed_max-string", "seed-bool"])
-    def test_mistyped_generator_value_is_data_error(self, tmp_path, cfg):
+    @pytest.mark.parametrize("cfg,flags", [
+        ({"clip_len": "40"}, []), ({"height": 28.0}, []), ({"speed_max": "2.5"}, []),
+        ({"seed": True}, []), ({}, ["--clips", "-3"]), ({"val_clips": -1}, []),
+        ({"pool_images": -1}, []), ({"speed_min": 3.0, "speed_max": 1.0}, []),
+    ], ids=["clip_len-string", "height-float", "speed_max-string", "seed-bool",
+            "clips-flag-negative", "val_clips-negative", "pool_images-negative",
+            "speed_min-above-max"])
+    def test_mistyped_generator_value_is_data_error(self, tmp_path, cfg, flags):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps(cfg))
         assert main(["gen-data", "--out", str(tmp_path / "ds"), "--config",
-                     str(path)]) == 2
+                     str(path)] + flags) == 2
+        assert not (tmp_path / "ds" / "meta.json").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("channel_plan", 5), ("channel_plan", [4, 6, 8, "8"]),
         ("channel_plan", [4, 6, 8, True]),
         ("ppm_bins", "1,2"), ("crop_h", "x"), ("crop_w", 28.0),
+        ("channel_plan", [0, 6, 8, 8]), ("channel_plan", [4, 6, 8, -8]),
     ], ids=["channel_plan-int", "channel_plan-string-item", "channel_plan-bool-item",
-            "ppm_bins-string", "crop_h-string", "crop_w-float"])
+            "ppm_bins-string", "crop_h-string", "crop_w-float", "channel_plan-zero-width",
+            "channel_plan-negative-width"])
     def test_mistyped_model_value_is_data_error(self, tmp_path, dataset_dir, key, value):
         cfg = json.loads(json.dumps(TRAIN_CFG))
         cfg["model"][key] = value
@@ -605,8 +669,10 @@ class TestExitCodes:
         lambda doc: {**doc, "seq_len": "3"},
         lambda doc: {**doc, "interval": 0},
         lambda doc: [doc],
+        lambda doc: {**doc, "noise_kind": "none"},
+        lambda doc: {k: v for k, v in doc.items() if k != "classes"},
     ], ids=["channel_plan-int", "crop_h-string", "seq_len-string", "interval-zero",
-            "not-object"])
+            "not-object", "unknown-key", "missing-key"])
     def test_bad_model_json_is_data_error(self, tmp_path, dataset_dir, trained_dir, edit):
         run = tmp_path / "run"
         shutil.copytree(trained_dir / "checkpoints", run / "checkpoints")
