@@ -13,17 +13,20 @@ The candidate path has no peephole; the output gate peeks at the current
 cell state. Peephole maps U and biases b are full per-element tensors of
 the feature-map shape, which ties a cell to one spatial resolution.
 
-A step runs two convolutions, not eight (Shi et al. 2015): the four W_g
-and the four V_g kernels are stacked along the output axis once per
-sequence, W * z + V * h_prev gives all gate pre-activations in one
-[N, 4*hidden, H, W] map, and each gate takes its channel slice before its
-peephole and bias terms are added. The parameters stay per gate.
+The four W_g and the four V_g kernels are stacked along the output axis
+(Shi et al. 2015), so W * z and V * h_prev each give all four gates'
+pre-activations in one [N, 4*hidden, H, W] map. W * z reads no state: it
+is the input projection, computed once per frame (``project_input``),
+before the recurrence. A step then runs one convolution, V * h_prev, and
+none from the zero state, where h_prev and c_prev are zero and their terms
+drop out; ``ops.lstm_gates`` applies the gates as one taped op. The
+parameters stay per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +39,11 @@ PEEPHOLE_GATES = ("i", "f", "o")
 
 @dataclass
 class ConvLSTMState:
+    """``hc`` packs h and c as [N, 2*hidden, H, W], h first: the output of
+    ``ops.lstm_gates``. ``h`` is its taped slice, which the next step's
+    V convolution and the decoder read."""
     h: Tensor
-    c: Tensor
+    hc: Tensor
 
 
 class ConvLSTMCell:
@@ -73,16 +79,6 @@ class ConvLSTMCell:
             self.params[f"b_{g}"] = Tensor(
                 init((hidden_channels, height, width), dtype=dt), requires_grad=True)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.params["W_i"].dtype
-
-    def zero_state(self, batch: int) -> ConvLSTMState:
-        shape = (batch, self.hidden_channels, self.height, self.width)
-        dt = self.dtype
-        return ConvLSTMState(h=Tensor(np.zeros(shape, dtype=dt)),
-                             c=Tensor(np.zeros(shape, dtype=dt)))
-
     def _check_input(self, z: Tensor) -> None:
         if z.ndim != 4 or z.shape[1] != self.in_channels or z.shape[2:] != (self.height, self.width):
             raise ShapeError(
@@ -90,59 +86,63 @@ class ConvLSTMCell:
                 f"feature maps, got {z.shape}")
 
 
-def stack_kernels(cell: ConvLSTMCell) -> tuple[Tensor, Tensor]:
-    """The W_g and the V_g kernels stacked in GATES order along the output
+def _stacked(cell: ConvLSTMCell, kind: str) -> Tensor:
+    """The W_g or the V_g kernels stacked in GATES order along the output
     axis; taped, so gradients flow back to the per-gate parameters."""
-    p = cell.params
-    return (ops.concat_kernels([p[f"W_{g}"] for g in GATES]),
-            ops.concat_kernels([p[f"V_{g}"] for g in GATES]))
+    return ops.concat_kernels([cell.params[f"{kind}_{g}"] for g in GATES])
 
 
-def cell_step(cell: ConvLSTMCell, z: Tensor, state: ConvLSTMState,
-              kernels: tuple[Tensor, Tensor]) -> ConvLSTMState:
-    """Advance the cell one step; differentiable end to end.
-
-    ``kernels`` is ``stack_kernels(cell)``, built once per sequence.
-    """
+def project_input(cell: ConvLSTMCell, z: Tensor) -> Tensor:
+    """W * z for all four gates: [M, in, H, W] feature maps -> their
+    [M, 4*hidden, H, W] input projection, one row per frame."""
     cell._check_input(z)
-    n = z.shape[0]
-    if state.h.shape != (n, cell.hidden_channels, cell.height, cell.width):
-        raise ShapeError(f"state shape {state.h.shape} does not match cell/batch")
-    p = cell.params
-    w, v = kernels
-    pre_all = ops.add(ops.conv2d(z, w, padding=1), ops.conv2d(state.h, v, padding=1))
+    return ops.conv2d(z, _stacked(cell, "W"), padding=1)
+
+
+def cell_step(cell: ConvLSTMCell, wz: Tensor, state: Optional[ConvLSTMState],
+              v: Tensor) -> ConvLSTMState:
+    """Advance the cell one step from its projected input ``wz``
+    (``project_input`` rows of this step); differentiable end to end.
+
+    ``state`` None is the zero state; ``v`` is the stacked V kernel, built
+    once per sequence.
+    """
     hid = cell.hidden_channels
+    n = wz.shape[0]
+    if wz.ndim != 4 or wz.shape[1:] != (4 * hid, cell.height, cell.width):
+        raise ShapeError(f"cell built for [*,{4 * hid},{cell.height},{cell.width}] "
+                         f"projected inputs, got {wz.shape}")
+    p = cell.params
+    peepholes = [p[f"U_{g}"] for g in PEEPHOLE_GATES]
+    biases = [p[f"b_{g}"] for g in GATES]
+    if state is None:
+        hc = ops.lstm_gates(wz, None, peepholes, biases)
+    else:
+        if state.hc.shape != (n, 2 * hid, cell.height, cell.width):
+            raise ShapeError(f"state shape {state.hc.shape} does not match cell/batch")
+        pre = ops.add(wz, ops.conv2d(state.h, v, padding=1))
+        hc = ops.lstm_gates(pre, state.hc, peepholes, biases)
+    return ConvLSTMState(h=ops.slice_channels(hc, 0, hid), hc=hc)
 
-    def gate_pre(g: str, c_ref: Tensor | None) -> Tensor:
-        k = GATES.index(g)
-        pre = ops.slice_channels(pre_all, k * hid, (k + 1) * hid)
-        if c_ref is not None:
-            pre = ops.add(pre, ops.hadamard(ops.expand_batch(p[f"U_{g}"], n), c_ref))
-        return ops.add(pre, ops.expand_batch(p[f"b_{g}"], n))
 
-    i = ops.sigmoid(gate_pre("i", state.c))
-    f = ops.sigmoid(gate_pre("f", state.c))
-    cand = ops.tanh(gate_pre("c", None))
-    c = ops.add(ops.hadamard(f, state.c), ops.hadamard(i, cand))
-    o = ops.sigmoid(gate_pre("o", c))
-    h = ops.hadamard(o, ops.tanh(c))
-    return ConvLSTMState(h=h, c=c)
+def encode_projected(cell: ConvLSTMCell, wzs: Sequence[Tensor]) -> Tensor:
+    """Run the cell over projected inputs from the zero state; returns the
+    last latent state, the temporal summary consumed by the decoder."""
+    if len(wzs) == 0:
+        raise ShapeError("encode_projected: empty sequence")
+    v = _stacked(cell, "V")
+    state = None
+    for wz in wzs:
+        state = cell_step(cell, wz, state, v)
+    return state.h
 
 
 def encode_sequence(cell: ConvLSTMCell, zs: Sequence[Tensor]) -> Tensor:
-    """Run the cell over a feature-map sequence from the zero state.
-
-    Returns the last latent state, the temporal summary consumed by the
-    decoder.
-    """
+    """``encode_projected`` of raw feature maps, each projected on its own."""
     if len(zs) == 0:
         raise ShapeError("encode_sequence: empty sequence")
     first_shape = zs[0].shape
     for z in zs[1:]:
         if z.shape != first_shape:
             raise ShapeError("encode_sequence: all feature maps must share one shape")
-    state = cell.zero_state(first_shape[0])
-    kernels = stack_kernels(cell)
-    for z in zs:
-        state = cell_step(cell, z, state, kernels)
-    return state.h
+    return encode_projected(cell, [project_input(cell, z) for z in zs])

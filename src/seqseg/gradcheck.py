@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ops
-from .convlstm import ConvLSTMCell, cell_step, encode_sequence, stack_kernels
+from .convlstm import ConvLSTMCell, encode_sequence
 from .network import ModelConfig, SegNet
 from .tensor import GradTape, Tensor, backward, zero_grads
 
@@ -212,6 +212,20 @@ def check_ops(rng: Optional[np.random.Generator] = None, tolerance: float = 1e-6
         lambda: _weighted_sum(ops.concat_kernels([k1, k2]), probe), {"a": k1, "b": k2},
         rng=rng, tolerance=tolerance)
 
+    pre = _param(rng, (2, 12, 3, 3))
+    hc = _param(rng, (2, 6, 3, 3), 0.5)
+    peepholes = [_param(rng, (3, 3, 3), 0.5) for _ in range(3)]
+    biases = [_param(rng, (3, 3, 3), 0.5) for _ in range(4)]
+    probe = _probe(rng, (2, 6, 3, 3))
+    gate_params = {"pre": pre, **{f"U_{g}": u for g, u in zip("ifo", peepholes)},
+                   **{f"b_{g}": t for g, t in zip("ifco", biases)}}
+    results["lstm_gates"] = grad_check(
+        lambda: _weighted_sum(ops.lstm_gates(pre, hc, peepholes, biases), probe),
+        dict(gate_params, hc=hc), rng=rng, tolerance=tolerance)
+    results["lstm_gates_zero_state"] = grad_check(
+        lambda: _weighted_sum(ops.lstm_gates(pre, None, peepholes, biases), probe),
+        gate_params, rng=rng, tolerance=tolerance)
+
     return results
 
 
@@ -235,12 +249,9 @@ def check_cell(rng: Optional[np.random.Generator] = None, tolerance: float = 1e-
     params = dict(cell.params)
     params["z"] = z
 
-    def step_loss():
-        state = cell.zero_state(1)
-        state = cell_step(cell, z, state, stack_kernels(cell))
-        return _weighted_sum(state.h, probe)
-
-    results["cell_step"] = grad_check(step_loss, params, rng=rng, tolerance=tolerance)
+    results["cell_step"] = grad_check(
+        lambda: _weighted_sum(encode_sequence(cell, [z]), probe),
+        params, rng=rng, tolerance=tolerance)
 
     zs = [_param(rng, (1, 2, 4, 4)) for _ in range(4)]
     seq_params = dict(cell.params)

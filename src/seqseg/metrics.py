@@ -47,7 +47,8 @@ class ConfusionMatrix:
                 raise DataError("prediction class id out of range")
             if t.min() < 0 or t.max() >= self.classes:
                 raise DataError("truth class id out of range")
-            np.add.at(self.counts, (t, p), 1)
+            self.counts += np.bincount(t * self.classes + p, minlength=self.classes ** 2
+                                       ).reshape(self.classes, self.classes)
         return self
 
 
@@ -87,9 +88,10 @@ class EvalReport:
 
 
 def _extract(net, frames: np.ndarray, chunk: int) -> Tensor:
-    """Eval-mode features of independent frames, at most ``chunk`` per call."""
+    """Eval-mode ``frame_features`` of independent frames, at most ``chunk``
+    per call."""
     return Tensor(np.concatenate([
-        net.extract(net.as_input(frames[i:i + chunk]), 1, training=False).data
+        net.frame_features(net.as_input(frames[i:i + chunk]), 1, training=False).data
         for i in range(0, len(frames), chunk)]))
 
 
@@ -112,10 +114,11 @@ def evaluate(net, val_clips: list, *, seq_len: int, interval: int,
 
     Every frame with sufficient history is a target (stride 1); no
     augmentation and no training noise are applied. One clip at a time,
-    each frame goes through the extractor once; then each batch of targets
-    gathers its steps from the clip's features for the ConvLSTM and the
-    decoder. The corrupted pass extracts only the corrupted context frames
-    and splices their features into the clean steps; in phase 1, whose
+    each frame goes through the extractor once, and in phase 2 through the
+    ConvLSTM's input projection once; then each batch of targets gathers
+    its steps from the clip's frame features for the recurrence and the
+    decoder. The corrupted pass extracts and projects only the corrupted
+    context frames and splices them into the clean steps; in phase 1, whose
     prediction reads only the target frame, it reuses the clean
     predictions. In eval mode a frame's features and a target's prediction
     do not depend on the rest of its batch, so the predictions are those of

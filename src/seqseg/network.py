@@ -4,8 +4,9 @@ a pyramid-pooling decoder producing per-pixel class logits for each
 sequence's target frame.
 
 Phase 1 bypasses the temporal cell (the target frame's features feed the
-decoder directly); phase 2 routes the regrouped feature sequence through
-the ConvLSTM.
+decoder directly); phase 2 projects every frame's features into the
+ConvLSTM's gate space once and routes the regrouped projections through
+the recurrence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from . import ops
 from .config import ModelConfig
-from .convlstm import ConvLSTMCell, encode_sequence
+# encode_sequence is not called here; benchmark/tracing.py patches this name
+from .convlstm import ConvLSTMCell, encode_projected, encode_sequence, project_input  # noqa: F401
 from .tensor import ShapeError, Tensor
 
 
@@ -188,23 +190,30 @@ class SegNet:
                 f"flattened batch of {frames.shape[0]} frames is not divisible by T={seq_len}")
         return self.extractor(frames, training)
 
+    def frame_features(self, frames: Tensor, seq_len: int, training: bool) -> Tensor:
+        """The per-frame stage: extractor features, and in phase 2 their
+        ConvLSTM input projection W * z, one [4*hidden, H, W] row per frame."""
+        z = self.extract(frames, seq_len, training)
+        return project_input(self.cell, z) if self.mode == "phase2" else z
+
     def head(self, steps: list, training: bool) -> Tensor:
-        """Per-step ``(features, rows)`` pairs, oldest first -> target logits:
-        phase 1 decodes the last step alone, phase 2 the ConvLSTM's summary
-        of all. Only the steps a phase reads are gathered."""
+        """Per-step ``(frame_features, rows)`` pairs, oldest first -> target
+        logits: phase 1 decodes the last step alone, phase 2 the ConvLSTM's
+        summary of all. Only the steps a phase reads are gathered."""
         if self.mode == "phase1":
             return self.decoder(ops.gather_batch(*steps[-1]), training)
-        zs = [ops.gather_batch(z, rows) for z, rows in steps]
-        return self.decoder(encode_sequence(self.cell, zs), training)
+        wzs = [ops.gather_batch(wz, rows) for wz, rows in steps]
+        return self.decoder(encode_projected(self.cell, wzs), training)
 
     def forward(self, seqs: np.ndarray, training: bool) -> Tensor:
         """[N, T, C, H, W] frame sequences -> [N, classes, H, W] target logits."""
         if seqs.ndim != 5:
             raise ShapeError(f"expected [N, T, C, H, W] sequences, got {seqs.shape}")
         n, t = seqs.shape[:2]
-        z = self.extract(self.as_input(seqs.reshape((n * t,) + seqs.shape[2:])), t, training)
+        flat = self.as_input(seqs.reshape((n * t,) + seqs.shape[2:]))
+        feats = self.frame_features(flat, t, training)
         # frame i of sequence s sits at row s*t + i of the flat batch
-        return self.head([(z, range(i, n * t, t)) for i in range(t)], training)
+        return self.head([(feats, range(i, n * t, t)) for i in range(t)], training)
 
     def predict(self, seqs: np.ndarray) -> np.ndarray:
         """Eval-mode per-pixel argmax labels."""

@@ -1,11 +1,13 @@
 """The differentiable operator set: convolution, batch norm, pointwise
-non-linearities, pooling/upsampling, the segmentation loss, and the small
-structural ops (concat, slice, gather, repeat) the model needs.
+non-linearities, the ConvLSTM gate update, pooling/upsampling, the
+segmentation loss, and the small structural ops (concat, slice, gather,
+repeat) the model needs.
 
-No implicit broadcasting anywhere: binary ops require equal shapes and all
-shape adaptation goes through explicit ops (``expand_batch``). Every forward
-result is checked finite; a NaN/Inf output on finite inputs is an operation
-error, not a value.
+No implicit broadcasting: binary ops require equal shapes and shape
+adaptation goes through explicit ops (``expand_batch``); only
+``lstm_gates`` applies its per-element peephole and bias maps to every
+sequence of the batch itself. Every forward result is checked finite; a
+NaN/Inf output on finite inputs is an operation error, not a value.
 """
 
 from __future__ import annotations
@@ -200,14 +202,25 @@ def _d_tanh(out: np.ndarray) -> np.ndarray:
     return 1.0 - out * out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, output clamped strictly inside (0, 1)."""
-    d = x.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument cannot overflow: 1/(1+e^-d) for d >= 0,
     # e^d/(1+e^d) below
     e = np.exp(-np.abs(d))
     out = np.where(d >= 0, 1.0, e) / (1.0 + e)
     np.clip(out, np.finfo(d.dtype).tiny, 1.0 - np.finfo(d.dtype).epsneg, out=out)
+    return out
+
+
+def _tanh(d: np.ndarray) -> np.ndarray:
+    out = np.tanh(d)
+    lim = 1.0 - np.finfo(d.dtype).epsneg
+    np.clip(out, -lim, lim, out=out)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function, output clamped strictly inside (0, 1)."""
+    out = _sigmoid(x.data)
 
     def backward_fn(g, needs):
         return (g * out * (1.0 - out),) if needs[0] else (None,)
@@ -217,9 +230,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent, output clamped strictly inside (-1, 1)."""
-    out = np.tanh(x.data)
-    lim = 1.0 - np.finfo(x.data.dtype).epsneg
-    np.clip(out, -lim, lim, out=out)
+    out = _tanh(x.data)
 
     def backward_fn(g, needs):
         return (g * _d_tanh(out),) if needs[0] else (None,)
@@ -259,6 +270,89 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make("hadamard", (a, b), a.data * b.data, backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# ConvLSTM gates
+
+
+def lstm_gates(pre: Tensor, hc_prev: Optional[Tensor], peepholes: Sequence[Tensor],
+               biases: Sequence[Tensor]) -> Tensor:
+    """The peephole LSTM update of one step, after its convolutions.
+
+    ``pre`` holds the gate pre-activations W*z + V*h_prev as [N, 4*hid, H, W]
+    in (i, f, c, o) order; ``hc_prev`` is the previous step's output, or None
+    for the zero state; ``peepholes`` are U_i, U_f, U_o and ``biases`` b_i,
+    b_f, b_c, b_o, each [hid, H, W] and shared by every sequence:
+
+        i = sigmoid((pre_i + U_i (.) c_prev) + b_i)
+        f = sigmoid((pre_f + U_f (.) c_prev) + b_f)
+        c = f (.) c_prev + i (.) tanh(pre_c + b_c)
+        o = sigmoid((pre_o + U_o (.) c) + b_o)
+        h = o (.) tanh(c)
+
+    From the zero state the c_prev terms, and with them f, drop out. Returns
+    h and c packed as [N, 2*hid, H, W], h first.
+    """
+    if pre.ndim != 4 or pre.shape[1] % 4:
+        raise ShapeError(f"lstm_gates: pre-activations must be [N, 4*hidden, H, W], "
+                         f"got {pre.shape}")
+    n, four_hid, fh, fw = pre.shape
+    hid = four_hid // 4
+    if len(peepholes) != 3 or len(biases) != 4:
+        raise ShapeError("lstm_gates: needs 3 peephole and 4 bias tensors")
+    for t in (*peepholes, *biases):
+        if t.shape != (hid, fh, fw):
+            raise ShapeError(f"lstm_gates: peephole/bias shape {t.shape} != {(hid, fh, fw)}")
+    if hc_prev is not None and hc_prev.shape != (n, 2 * hid, fh, fw):
+        raise ShapeError(f"lstm_gates: state shape {hc_prev.shape} != {(n, 2 * hid, fh, fw)}")
+    inputs = (pre,) + (() if hc_prev is None else (hc_prev,)) + tuple(peepholes) + tuple(biases)
+    dt = _same_dtype("lstm_gates", *inputs)
+    u_i, u_f, u_o = (t.data for t in peepholes)
+    b_i, b_f, b_c, b_o = (t.data for t in biases)
+    p_i, p_f, p_c, p_o = (pre.data[:, k * hid:(k + 1) * hid] for k in range(4))
+
+    out = np.empty((n, 2 * hid, fh, fw), dtype=dt)
+    c = out[:, hid:]
+    cand = _tanh(p_c + b_c)
+    if hc_prev is None:
+        c_prev = f = None
+        i = _sigmoid(p_i + b_i)
+        np.multiply(i, cand, out=c)
+    else:
+        c_prev = hc_prev.data[:, hid:]
+        i = _sigmoid((p_i + u_i * c_prev) + b_i)
+        f = _sigmoid((p_f + u_f * c_prev) + b_f)
+        np.add(f * c_prev, i * cand, out=c)
+    o = _sigmoid((p_o + u_o * c) + b_o)
+    tc = _tanh(c)
+    np.multiply(o, tc, out=out[:, :hid])
+
+    def backward_fn(g, needs):
+        gh = g[:, :hid]
+        dpre = np.empty_like(pre.data)
+        da_i, da_f, da_c, da_o = (dpre[:, k * hid:(k + 1) * hid] for k in range(4))
+        np.multiply(gh * tc, o * (1.0 - o), out=da_o)
+        dc = (g[:, hid:] + (gh * o) * _d_tanh(tc)) + da_o * u_o
+        np.multiply(dc * cand, i * (1.0 - i), out=da_i)
+        np.multiply(dc * i, _d_tanh(cand), out=da_c)
+        if hc_prev is None:
+            da_f.fill(0)
+            g_state = ()
+            g_ui = g_uf = None
+        else:
+            np.multiply(dc * c_prev, f * (1.0 - f), out=da_f)
+            # h_prev reaches this step only through V * h_prev, outside the op
+            ghc = np.zeros_like(hc_prev.data)
+            ghc[:, hid:] = (dc * f + da_i * u_i) + da_f * u_f
+            g_state = (ghc,)
+            g_ui = (da_i * c_prev).sum(axis=0)
+            g_uf = (da_f * c_prev).sum(axis=0)
+        g_uo = (da_o * c).sum(axis=0)
+        return ((dpre,) + g_state + (g_ui, g_uf, g_uo)
+                + tuple(d.sum(axis=0) for d in (da_i, da_f, da_c, da_o)))
+
+    return _make("lstm_gates", inputs, out, backward_fn)
 
 
 # ---------------------------------------------------------------------------

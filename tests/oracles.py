@@ -10,10 +10,11 @@ the streaming ``seqseg.metrics.evaluate`` against."""
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from seqseg import imgio, ops
-from seqseg.convlstm import ConvLSTMState
 from seqseg.data import center_crop, sample_sequence, valid_targets
 from seqseg.metrics import ConfusionMatrix, EvalReport, miou
 from seqseg.noise import context_indices, corrupt_for_eval
@@ -74,10 +75,14 @@ def convlstm_encode_naive(params, zs):
     return h, c
 
 
+PerGateState = namedtuple("PerGateState", "h c")
+
+
 def convlstm_step_per_gate(cell, z, state):
     """One taped peephole ConvLSTM step running eight convolutions, one
     per W_g and V_g kernel, with the terms summed in the order of
-    ``seqseg.convlstm.cell_step``."""
+    ``seqseg.ops.lstm_gates``; ``state`` is a ``PerGateState`` of taped h and
+    c, zero tensors for the zero state."""
     n = z.shape[0]
     p = cell.params
 
@@ -93,7 +98,7 @@ def convlstm_step_per_gate(cell, z, state):
     cand = ops.tanh(gate_pre("c", None))
     c = ops.add(ops.hadamard(f, state.c), ops.hadamard(i, cand))
     o = ops.sigmoid(gate_pre("o", c))
-    return ConvLSTMState(h=ops.hadamard(o, ops.tanh(c)), c=c)
+    return PerGateState(h=ops.hadamard(o, ops.tanh(c)), c=c)
 
 
 def conv2d_naive(

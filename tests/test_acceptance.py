@@ -87,13 +87,14 @@ def test_convlstm_zero_fixed_point():
     for p in cell.params.values():
         p.data = np.zeros_like(p.data)
     zs = [Tensor(rng.standard_normal((2, 3, 6, 6)), dtype="float64") for _ in range(4)]
-    state = cell.zero_state(2)
-    from seqseg.convlstm import cell_step, stack_kernels
+    from seqseg.convlstm import cell_step, project_input
 
-    kernels = stack_kernels(cell)
+    v = ops.concat_kernels([cell.params[f"V_{g}"] for g in "ifco"])
+    state = None
     for z in zs:
-        state = cell_step(cell, z, state, kernels)
-    ok = bool(np.all(state.h.data == 0.0) and np.all(state.c.data == 0.0))
+        state = cell_step(cell, project_input(cell, z), state, v)
+    # state.hc packs h_T and c_T
+    ok = bool(np.all(state.hc.data == 0.0))
     report("convlstm-zero-fixed-point", ok, "h_T and c_T exactly zero for T=4")
 
 

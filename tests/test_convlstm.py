@@ -1,8 +1,6 @@
 """ConvLSTM cell: analytic fixed points, gate saturation, the scalar-loop
 encode oracle, range invariants, and gradient checks."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from seqseg.convlstm import (
     ConvLSTMState,
     cell_step,
     encode_sequence,
-    stack_kernels,
+    project_input,
 )
 from seqseg.tensor import GradTape, ShapeError, Tensor, backward
 
@@ -29,37 +27,51 @@ def zero_params_cell(rng):
     return cell
 
 
+def v_kernel(cell):
+    return ops.concat_kernels([cell.params[f"V_{g}"] for g in "ifco"])
+
+
+def packed_state(h, c):
+    """A ConvLSTMState holding the given h and c arrays."""
+    return ConvLSTMState(h=Tensor(h), hc=Tensor(np.concatenate([h, c], axis=1)))
+
+
+def c_of(state):
+    return state.hc.data[:, state.h.shape[1]:]
+
+
+def step(cell, z, state):
+    return cell_step(cell, project_input(cell, z), state, v_kernel(cell))
+
+
 class TestCellStep:
     def test_zero_parameters_fixed_point(self, rng):
         cell = zero_params_cell(rng)
         z = Tensor(rng.standard_normal((2, 2, 4, 4)), dtype="float64")
-        state = cell_step(cell, z, cell.zero_state(2), stack_kernels(cell))
+        state = step(cell, z, None)
         assert np.all(state.h.data == 0.0)
-        assert np.all(state.c.data == 0.0)
+        assert np.all(c_of(state) == 0.0)
 
     def test_saturated_gates_carry_memory(self, rng):
         cell = zero_params_cell(rng)
         cell.params["b_f"].data = np.full_like(cell.params["b_f"].data, 10.0)
         cell.params["b_i"].data = np.full_like(cell.params["b_i"].data, -10.0)
         c0 = rng.uniform(-1, 1, size=(1, 3, 4, 4))
-        state = ConvLSTMState(h=Tensor(np.zeros((1, 3, 4, 4)), dtype="float64"),
-                              c=Tensor(c0, dtype="float64"))
+        state = packed_state(np.zeros((1, 3, 4, 4)), c0)
         z = Tensor(rng.standard_normal((1, 2, 4, 4)), dtype="float64")
-        out = cell_step(cell, z, state, stack_kernels(cell))
-        assert np.abs(out.c.data - c0).max() < 1e-4
+        out = step(cell, z, state)
+        assert np.abs(c_of(out) - c0).max() < 1e-4
 
     def test_memory_carry_over_full_sequence(self, rng):
         cell = zero_params_cell(rng)
         cell.params["b_f"].data = np.full_like(cell.params["b_f"].data, 20.0)
         cell.params["b_i"].data = np.full_like(cell.params["b_i"].data, -20.0)
         c0 = rng.uniform(-1, 1, size=(1, 3, 4, 4))
-        state = ConvLSTMState(h=Tensor(np.zeros((1, 3, 4, 4)), dtype="float64"),
-                              c=Tensor(c0, dtype="float64"))
-        kernels = stack_kernels(cell)
+        state = packed_state(np.zeros((1, 3, 4, 4)), c0)
         for _ in range(4):
-            state = cell_step(cell, Tensor(rng.standard_normal((1, 2, 4, 4)),
-                                           dtype="float64"), state, kernels)
-        assert np.abs(state.c.data - c0).max() < 1e-4
+            state = step(cell, Tensor(rng.standard_normal((1, 2, 4, 4)), dtype="float64"),
+                         state)
+        assert np.abs(c_of(state) - c0).max() < 1e-4
 
     def test_all_fifteen_parameter_groups_gradcheck(self, rng):
         cell = make_cell(rng)
@@ -67,15 +79,21 @@ class TestCellStep:
         assert len(cell.params) == 15
         z = Tensor(rng.standard_normal((1, 2, 4, 4)), dtype="float64")
         probe = Tensor(rng.standard_normal((1, 3, 4, 4)), dtype="float64")
+        h0 = rng.uniform(-1, 1, size=(1, 3, 4, 4))
+        c0 = rng.uniform(-1, 1, size=(1, 3, 4, 4))
 
         def loss_fn():
-            state = cell_step(cell, z, cell.zero_state(1), stack_kernels(cell))
+            # from a non-zero state, so that every term of the step is live
+            state = step(cell, z, packed_state(h0, c0))
             return ops.sum_all(ops.hadamard(state.h, probe))
 
         report = gradcheck.grad_check(loss_fn, cell.params, rng=rng)
         assert report.passed, "\n".join(report.lines())
 
     def test_stacked_kernels_match_per_gate_convolutions(self, rng):
+        # the projected-input step with the fused gate op against eight
+        # per-gate convolutions and per-term taped ops, over T=4 from the zero
+        # state: h and c bitwise, gradients by summation order only
         cell = make_cell(rng, cin=3, ch=4, h=5, w=6)
         gradcheck.randomize_cell(cell, rng)
         zs = [Tensor(rng.standard_normal((2, 3, 5, 6)), dtype="float64",
@@ -83,27 +101,35 @@ class TestCellStep:
         probe = Tensor(rng.standard_normal((2, 4, 5, 6)), dtype="float64")
         leaves = dict(cell.params, **{f"z_{t}": z for t, z in enumerate(zs)})
 
-        def run(make_step):
-            states = []
+        def run(first_state, advance):
+            hs, cs = [], []
             with GradTape() as tape:
-                step = make_step()
-                state = cell.zero_state(2)
+                state = first_state
                 for z in zs:
-                    state = step(z, state)
-                    states.append(state)
-                loss = ops.sum_all(ops.hadamard(state.h, probe))
+                    state, h, c = advance(z, state)
+                    hs.append(h.data.copy())
+                    cs.append(np.array(c))
+                loss = ops.sum_all(ops.hadamard(h, probe))
             backward(tape, loss)
             grads = {k: t.grad for k, t in leaves.items()}
             for t in leaves.values():
                 t.grad = None
-            return states, grads
+            return hs, cs, grads
 
-        fused_states, fused_grads = run(
-            lambda: partial(cell_step, cell, kernels=stack_kernels(cell)))
-        ref_states, ref_grads = run(lambda: partial(oracles.convlstm_step_per_gate, cell))
-        for got, want in zip(fused_states, ref_states):
-            np.testing.assert_allclose(got.h.data, want.h.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.c.data, want.c.data, rtol=0, atol=1e-12)
+        def fused(z, state):
+            state = step(cell, z, state)
+            return state, state.h, c_of(state)
+
+        def per_gate(z, state):
+            state = oracles.convlstm_step_per_gate(cell, z, state)
+            return state, state.h, state.c.data
+
+        zero = np.zeros((2, 4, 5, 6))
+        fused_h, fused_c, fused_grads = run(None, fused)
+        ref_h, ref_c, ref_grads = run(
+            oracles.PerGateState(h=Tensor(zero), c=Tensor(zero)), per_gate)
+        for got, want in zip(fused_h + fused_c, ref_h + ref_c):
+            np.testing.assert_array_equal(got, want)
         assert set(fused_grads) == set(ref_grads) and len(fused_grads) == 19
         for name, want in ref_grads.items():
             np.testing.assert_allclose(fused_grads[name], want, rtol=0, atol=1e-12,
@@ -113,7 +139,34 @@ class TestCellStep:
         cell = make_cell(rng)
         z = Tensor(rng.standard_normal((1, 2, 5, 5)), dtype="float64")
         with pytest.raises(ShapeError):
-            cell_step(cell, z, cell.zero_state(1), stack_kernels(cell))
+            project_input(cell, z)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (1, 12, 4, 5), (12, 4, 4)])
+    def test_wrong_projected_input_rejected(self, rng, shape):
+        # the projected input of a 3-channel cell is [N, 12, 4, 4]
+        cell = make_cell(rng)
+        with pytest.raises(ShapeError):
+            cell_step(cell, Tensor(np.zeros(shape)), None, v_kernel(cell))
+
+    @pytest.mark.parametrize("hc_shape", [(1, 6, 4, 4), (2, 3, 4, 4), (2, 6, 4, 5)])
+    def test_wrong_state_rejected(self, rng, hc_shape):
+        # another batch size, h without c, another resolution: the state of a
+        # 3-channel cell on 2 sequences is h and c packed as [2, 6, 4, 4]
+        cell = make_cell(rng)
+        wz = Tensor(np.zeros((2, 12, 4, 4)))
+        bad = ConvLSTMState(h=Tensor(np.zeros((2, 3, 4, 4))), hc=Tensor(np.zeros(hc_shape)))
+        with pytest.raises(ShapeError):
+            cell_step(cell, wz, bad, v_kernel(cell))
+
+    def test_zero_state_step_runs_no_state_convolution(self, rng):
+        cell = make_cell(rng)
+        wz = project_input(cell, Tensor(rng.standard_normal((1, 2, 4, 4)), dtype="float64"))
+        with GradTape() as tape:
+            state = cell_step(cell, wz, None, v_kernel(cell))
+            cell_step(cell, wz, state, v_kernel(cell))
+        ops_run = [node.op for node in tape.nodes]
+        assert ops_run == ["concat_kernels", "lstm_gates", "slice_channels", "concat_kernels",
+                           "conv2d", "add", "lstm_gates", "slice_channels"]
 
 
 class TestEncodeSequence:
@@ -121,7 +174,7 @@ class TestEncodeSequence:
         cell = make_cell(rng)
         z = Tensor(rng.standard_normal((2, 2, 4, 4)), dtype="float64")
         g = encode_sequence(cell, [z])
-        direct = cell_step(cell, z, cell.zero_state(2), stack_kernels(cell))
+        direct = step(cell, z, None)
         np.testing.assert_array_equal(g.data, direct.h.data)
 
     def test_zero_cell_gives_zero_summary(self, rng):
@@ -145,13 +198,12 @@ class TestEncodeSequence:
     def test_state_range_invariants(self, rng):
         cell = make_cell(rng)
         gradcheck.randomize_cell(cell, rng, scale=1.5)
-        state = cell.zero_state(1)
-        kernels = stack_kernels(cell)
+        state = None
         for t in range(1, 6):
             z = Tensor(5.0 * rng.standard_normal((1, 2, 4, 4)), dtype="float64")
-            state = cell_step(cell, z, state, kernels)
+            state = step(cell, z, state)
             assert np.abs(state.h.data).max() < 1.0
-            assert np.abs(state.c.data).max() < t
+            assert np.abs(c_of(state)).max() < t
 
     def test_gradient_reaches_first_frame(self, rng):
         cell = make_cell(rng)

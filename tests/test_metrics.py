@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from seqseg import network
 from seqseg.data import GenConfig, center_crop, generate_dataset
 from seqseg.errors import DataError
 from seqseg.metrics import ConfusionMatrix, evaluate, miou, write_report_csv
@@ -252,7 +253,8 @@ class TestStreamingMatchesOracle:
 
 class TestExtractorCalls:
     """Every frame of a clip that holds a target goes through the extractor
-    once; the corrupted pass adds only the corrupted context frames."""
+    once, and in phase 2 through the ConvLSTM input projection once; the
+    corrupted pass adds only the corrupted context frames."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -266,10 +268,22 @@ class TestExtractorCalls:
         monkeypatch.setattr(SegNet, "extract", extract)
         return calls
 
+    @pytest.fixture
+    def projected(self, monkeypatch):
+        rows = []
+        original = network.project_input
+
+        def project_input(cell, z):
+            rows.append(z.shape[0])
+            return original(cell, z)
+
+        monkeypatch.setattr(network, "project_input", project_input)
+        return rows
+
     @pytest.mark.parametrize("seq_len,interval,frames", [(4, 1, (1, 3)), (3, 2, (1, 2))])
     @pytest.mark.parametrize("batch_size", [1, 2, 7])
-    def test_rows_extracted(self, oracle_clips, counted, seq_len, interval, frames,
-                            batch_size):
+    def test_rows_extracted(self, oracle_clips, counted, projected, seq_len, interval,
+                            frames, batch_size):
         net = oracle_net("phase2", np.float32)
         clean = evaluate(net, oracle_clips, seq_len=seq_len, interval=interval,
                          batch_size=batch_size)
@@ -277,17 +291,21 @@ class TestExtractorCalls:
         held = [center_crop(c.frames, 28, 28) / np.float32(255) for c in oracle_clips[::2]]
         np.testing.assert_array_equal(np.concatenate(counted), np.concatenate(held))
         rows = [len(frames_in) for frames_in in counted]
+        assert projected == rows
         counted.clear()
+        projected.clear()
         evaluate(net, oracle_clips, seq_len=seq_len, interval=interval,
                  batch_size=batch_size, corruption="distortion", corrupted_frames=frames)
         corrupt_rows = [len(frames_in) for frames_in in counted]
+        assert projected == corrupt_rows
         assert sum(corrupt_rows) - sum(rows) == clean.targets * len(frames)
         assert max(rows + corrupt_rows) <= batch_size * seq_len
 
     @pytest.mark.parametrize("seq_len,interval,frames", [(4, 1, (1, 3)), (3, 2, (1, 2))])
-    def test_phase1_corrupted_pass_extracts_nothing(self, oracle_clips, counted, seq_len,
-                                                    interval, frames):
-        # a phase-1 prediction reads only the target frame, which is never corrupted
+    def test_phase1_corrupted_pass_extracts_nothing(self, oracle_clips, counted, projected,
+                                                    seq_len, interval, frames):
+        # a phase-1 prediction reads only the target frame, which is never
+        # corrupted, and it bypasses the ConvLSTM
         net = oracle_net("phase1", np.float32)
         evaluate(net, oracle_clips, seq_len=seq_len, interval=interval, batch_size=2)
         rows = sum(len(frames_in) for frames_in in counted)
@@ -295,3 +313,4 @@ class TestExtractorCalls:
         evaluate(net, oracle_clips, seq_len=seq_len, interval=interval, batch_size=2,
                  corruption="distortion", corrupted_frames=frames)
         assert sum(len(frames_in) for frames_in in counted) == rows
+        assert projected == []

@@ -116,7 +116,7 @@ class TestForward:
         logits = net64.forward(seqs, training=False)
         assert logits.shape == (3, 4, 32, 32)
 
-    @pytest.mark.parametrize("mode,nodes,gathers", [("phase1", 35, 1), ("phase2", 172, 4)])
+    @pytest.mark.parametrize("mode,nodes,gathers", [("phase1", 35, 1), ("phase2", 55, 4)])
     def test_training_step_tape(self, rng, mode, nodes, gathers):
         # a default training step gathers only the steps its phase reads:
         # the target step in phase 1, all T=4 in phase 2
@@ -128,6 +128,21 @@ class TestForward:
         recorded = [node.op for node in tape.nodes]
         assert len(recorded) == nodes
         assert recorded.count("gather_batch") == gathers
+
+    def test_phase2_step_skips_the_zero_state_convolution(self, rng):
+        # one W projection of the flat batch, then a V convolution at every
+        # step but the first, whose state is zero
+        net = SegNet(tiny_cfg(), seed=0, mode="phase2")
+        seqs = rng.random((2, 4, 3, 16, 16), dtype=np.float32)
+        with GradTape() as tape:
+            net.forward(seqs, training=True)
+        stacked = {node.inputs[0]: node.output for node in tape.nodes
+                   if node.op == "concat_kernels"}
+        w, v = stacked[net.cell.params["W_i"]], stacked[net.cell.params["V_i"]]
+        kernels = [node.inputs[1] for node in tape.nodes if node.op == "conv2d"]
+        assert sum(k is w for k in kernels) == 1
+        assert sum(k is v for k in kernels) == 3
+        assert [node.op for node in tape.nodes].count("lstm_gates") == 4
 
 
 class TestPredict:
