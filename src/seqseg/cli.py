@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -91,6 +92,12 @@ def cmd_gen_data(args) -> int:
     doc = cfgmod.read_json(args.config) if args.config else {}
     doc.update((k, v) for k, v in overrides.items() if v is not None)
     gen_cfg = datamod.GenConfig.from_dict(doc)
+    if args.force:
+        # replace the dataset of an earlier run, so none of its clips stay
+        for name in ("train", "val", "noise_pool"):
+            if (out / name).exists():
+                shutil.rmtree(out / name)
+        (out / "meta.json").unlink(missing_ok=True)
     manifest = _manifest_open(out, "gen-data", gen_cfg.seed, dataclasses.asdict(gen_cfg),
                               {"out": out})
     try:
@@ -184,14 +191,12 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _score_checkpoint(ckpt_path: Path, model_config_path, dataset, *, corruption,
-                      frames, seed, dump_dir=None):
+def _score_checkpoint(ckpt_path: Path, dataset, *, corruption, frames, seed,
+                      dump_dir=None):
     """Score a checkpoint as its run trained it, for ``eval`` and ``sweep``: the
     phase from its name, the dtype from its precision byte, seq_len and interval
     from model.json, and by default corrupted frames 1,3,.. below seq_len."""
-    if model_config_path is None:
-        model_config_path = ckpt_path.parent.parent / "model.json"
-    model_cfg, geometry = cfgmod.load_model_json(model_config_path)
+    model_cfg, geometry = cfgmod.load_model_json(ckpt_path.parent.parent / "model.json")
     if frames is None:
         frames = tuple(range(1, geometry["seq_len"], 2))
     frame_h, frame_w = dataset.cfg.height, dataset.cfg.width
@@ -241,8 +246,8 @@ def cmd_eval(args) -> int:
         dataset = datamod.load_dataset(data_dir, splits=("val",))
         dump_dir = (out_dir / "predictions") if args.dump_predictions else None
         report, resolved = _score_checkpoint(
-            ckpt_path, args.model_config, dataset, corruption=args.corrupt,
-            frames=frames, seed=args.seed, dump_dir=dump_dir)
+            ckpt_path, dataset, corruption=args.corrupt, frames=frames, seed=args.seed,
+            dump_dir=dump_dir)
         metricsmod.write_report_csv(out_dir / "report.csv", report)
         if dump_dir is not None:
             _write_class_legend(dump_dir / "classes.txt", dataset.cfg.classes)
@@ -302,7 +307,7 @@ def cmd_sweep(args) -> int:
                 run = _run_training(Path(args.data), run_dir, args.config,
                                     {**base_overrides, field_name: value, "seed": seed})
                 report, _ = _score_checkpoint(
-                    run["result"].final_checkpoint, None, run["dataset"],
+                    run["result"].final_checkpoint, run["dataset"],
                     corruption=args.corrupt, frames=frames, seed=seed)
                 metricsmod.write_report_csv(run_dir / "report.csv", report)
             except Exception as exc:  # sub-run failures are recorded, not fatal
@@ -380,7 +385,6 @@ def build_parser() -> CliParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out")
-    p.add_argument("--model-config", help="model.json path (default: next to run)")
     p.add_argument("--corrupt", choices=noisemod.CORRUPTION_KINDS)
     p.add_argument("--frames", help="1-based context frames to corrupt, default 1,3,.. below T")
     p.add_argument("--dump-predictions", action="store_true")

@@ -19,13 +19,13 @@ pre-activations in one [N, 4*hidden, H, W] map. W * z reads no state: it
 is the input projection, computed once per frame (``project_input``),
 before the recurrence. A step then runs one convolution, V * h_prev, and
 none from the zero state, where h_prev and c_prev are zero and their terms
-drop out; ``ops.lstm_gates`` applies the gates as one taped op. The
-parameters stay per gate.
+drop out; ``ops.lstm_gates`` adds the two projections and applies the gates
+as one taped op. Its output packs h and c as [N, 2*hidden, H, W], h first,
+and is the whole state carried between steps. The parameters stay per gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,15 +35,6 @@ from .tensor import ShapeError, Tensor
 
 GATES = ("i", "f", "c", "o")
 PEEPHOLE_GATES = ("i", "f", "o")
-
-
-@dataclass
-class ConvLSTMState:
-    """``hc`` packs h and c as [N, 2*hidden, H, W], h first: the output of
-    ``ops.lstm_gates``. ``h`` is its taped slice, which the next step's
-    V convolution and the decoder read."""
-    h: Tensor
-    hc: Tensor
 
 
 class ConvLSTMCell:
@@ -99,50 +90,37 @@ def project_input(cell: ConvLSTMCell, z: Tensor) -> Tensor:
     return ops.conv2d(z, _stacked(cell, "W"), padding=1)
 
 
-def cell_step(cell: ConvLSTMCell, wz: Tensor, state: Optional[ConvLSTMState],
-              v: Tensor) -> ConvLSTMState:
-    """Advance the cell one step from its projected input ``wz``
-    (``project_input`` rows of this step); differentiable end to end.
+def _h(cell: ConvLSTMCell, hc: Tensor) -> Tensor:
+    """The taped h half of a packed state."""
+    return ops.slice_channels(hc, 0, cell.hidden_channels)
 
-    ``state`` None is the zero state; ``v`` is the stacked V kernel, built
+
+def cell_step(cell: ConvLSTMCell, wz: Tensor, hc: Optional[Tensor], v: Tensor) -> Tensor:
+    """Advance the packed state ``hc`` one step from the projected input
+    ``wz`` (``project_input`` rows of this step); differentiable end to end.
+
+    ``hc`` None is the zero state; ``v`` is the stacked V kernel, built
     once per sequence.
     """
-    hid = cell.hidden_channels
-    n = wz.shape[0]
-    if wz.ndim != 4 or wz.shape[1:] != (4 * hid, cell.height, cell.width):
-        raise ShapeError(f"cell built for [*,{4 * hid},{cell.height},{cell.width}] "
-                         f"projected inputs, got {wz.shape}")
     p = cell.params
     peepholes = [p[f"U_{g}"] for g in PEEPHOLE_GATES]
     biases = [p[f"b_{g}"] for g in GATES]
-    if state is None:
-        hc = ops.lstm_gates(wz, None, peepholes, biases)
-    else:
-        if state.hc.shape != (n, 2 * hid, cell.height, cell.width):
-            raise ShapeError(f"state shape {state.hc.shape} does not match cell/batch")
-        pre = ops.add(wz, ops.conv2d(state.h, v, padding=1))
-        hc = ops.lstm_gates(pre, state.hc, peepholes, biases)
-    return ConvLSTMState(h=ops.slice_channels(hc, 0, hid), hc=hc)
+    vh = None if hc is None else ops.conv2d(_h(cell, hc), v, padding=1)
+    return ops.lstm_gates(wz, vh, hc, peepholes, biases)
 
 
 def encode_projected(cell: ConvLSTMCell, wzs: Sequence[Tensor]) -> Tensor:
     """Run the cell over projected inputs from the zero state; returns the
-    last latent state, the temporal summary consumed by the decoder."""
+    last latent state h, the temporal summary consumed by the decoder."""
     if len(wzs) == 0:
         raise ShapeError("encode_projected: empty sequence")
     v = _stacked(cell, "V")
-    state = None
+    hc = None
     for wz in wzs:
-        state = cell_step(cell, wz, state, v)
-    return state.h
+        hc = cell_step(cell, wz, hc, v)
+    return _h(cell, hc)
 
 
 def encode_sequence(cell: ConvLSTMCell, zs: Sequence[Tensor]) -> Tensor:
     """``encode_projected`` of raw feature maps, each projected on its own."""
-    if len(zs) == 0:
-        raise ShapeError("encode_sequence: empty sequence")
-    first_shape = zs[0].shape
-    for z in zs[1:]:
-        if z.shape != first_shape:
-            raise ShapeError("encode_sequence: all feature maps must share one shape")
     return encode_projected(cell, [project_input(cell, z) for z in zs])

@@ -360,6 +360,14 @@ def load_dataset(root, splits: tuple = ("train", "val")) -> SynthDataset:
     if isinstance(fps, bool) or not isinstance(fps, (int, float)):
         raise DataError(f"{meta_path} has no numeric 'fps'")
     cfg = GenConfig.from_dict(meta["config"])
+    size = (cfg.height, cfg.width)
+
+    def read(path, reader, shape):
+        image = reader(path)
+        if image.shape != shape:
+            raise DataError(f"{path} is {image.shape}, meta.json says {shape}")
+        return image
+
     clips_of = {"train": [], "val": []}
     for split in splits:
         sdir = root / split
@@ -369,12 +377,16 @@ def load_dataset(root, splits: tuple = ("train", "val")) -> SynthDataset:
                 label_paths = imgio.list_images(cdir, ".pgm")
                 if len(frame_paths) != len(label_paths) or not frame_paths:
                     raise DataError(f"clip directory {cdir} is incomplete")
-                frames = np.stack([imgio.read_ppm(p).transpose(2, 0, 1)
+                frames = np.stack([read(p, imgio.read_ppm, size + (3,)).transpose(2, 0, 1)
                                    for p in frame_paths])
-                labels = np.stack([imgio.read_pgm(p) for p in label_paths])
+                labels = np.stack([read(p, imgio.read_pgm, size) for p in label_paths])
                 clip_id = int(cdir.name.split("_")[-1])
                 clips_of[split].append(VideoClip(clip_id=clip_id, frames=frames,
                                                  labels=labels, fps=fps))
+        want = getattr(cfg, f"{split}_clips")
+        if len(clips_of[split]) != want:
+            raise DataError(f"{sdir} holds {len(clips_of[split])} clips, "
+                            f"meta.json says {want}")
     if not clips_of["train"] and not clips_of["val"]:
         raise DataError(f"dataset at {root} has no clips")
     return SynthDataset(cfg=cfg, train=clips_of["train"], val=clips_of["val"])

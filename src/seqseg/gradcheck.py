@@ -212,18 +212,19 @@ def check_ops(rng: Optional[np.random.Generator] = None, tolerance: float = 1e-6
         lambda: _weighted_sum(ops.concat_kernels([k1, k2]), probe), {"a": k1, "b": k2},
         rng=rng, tolerance=tolerance)
 
-    pre = _param(rng, (2, 12, 3, 3))
+    wz = _param(rng, (2, 12, 3, 3))
     hc = _param(rng, (2, 6, 3, 3), 0.5)
     peepholes = [_param(rng, (3, 3, 3), 0.5) for _ in range(3)]
     biases = [_param(rng, (3, 3, 3), 0.5) for _ in range(4)]
     probe = _probe(rng, (2, 6, 3, 3))
-    gate_params = {"pre": pre, **{f"U_{g}": u for g, u in zip("ifo", peepholes)},
+    gate_params = {"wz": wz, **{f"U_{g}": u for g, u in zip("ifo", peepholes)},
                    **{f"b_{g}": t for g, t in zip("ifco", biases)}}
+    vh = _param(rng, (2, 12, 3, 3))
     results["lstm_gates"] = grad_check(
-        lambda: _weighted_sum(ops.lstm_gates(pre, hc, peepholes, biases), probe),
-        dict(gate_params, hc=hc), rng=rng, tolerance=tolerance)
+        lambda: _weighted_sum(ops.lstm_gates(wz, vh, hc, peepholes, biases), probe),
+        dict(gate_params, vh=vh, hc=hc), rng=rng, tolerance=tolerance)
     results["lstm_gates_zero_state"] = grad_check(
-        lambda: _weighted_sum(ops.lstm_gates(pre, None, peepholes, biases), probe),
+        lambda: _weighted_sum(ops.lstm_gates(wz, None, None, peepholes, biases), probe),
         gate_params, rng=rng, tolerance=tolerance)
 
     return results

@@ -59,6 +59,8 @@ def _read_header(f, magic: bytes):
             ch = f.read(1)
         if not tok:
             raise ImageFormatError("truncated header")
+        if not tok.isdigit():
+            raise ImageFormatError(f"header field {tok!r} is not an integer")
         fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:

@@ -106,7 +106,7 @@ class SegNet:
         cfg.validate()
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.mode = mode
+        self.set_mode(mode)
         root = np.random.SeedSequence(seed)
         ext_rng, cell_rng, dec_rng = (np.random.default_rng(s) for s in root.spawn(3))
         self.extractor = FeatureExtractor(cfg, ext_rng, self.dtype)

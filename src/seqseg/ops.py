@@ -223,7 +223,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid(x.data)
 
     def backward_fn(g, needs):
-        return (g * out * (1.0 - out),) if needs[0] else (None,)
+        return (g * out * (1.0 - out),)
 
     return _make("sigmoid", (x,), out, backward_fn)
 
@@ -233,7 +233,7 @@ def tanh(x: Tensor) -> Tensor:
     out = _tanh(x.data)
 
     def backward_fn(g, needs):
-        return (g * _d_tanh(out),) if needs[0] else (None,)
+        return (g * _d_tanh(out),)
 
     return _make("tanh", (x,), out, backward_fn)
 
@@ -243,7 +243,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.where(mask, x.data, x.data.dtype.type(0))
 
     def backward_fn(g, needs):
-        return (g * mask,) if needs[0] else (None,)
+        return (g * mask,)
 
     return _make("relu", (x,), out, backward_fn)
 
@@ -276,14 +276,15 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 # ConvLSTM gates
 
 
-def lstm_gates(pre: Tensor, hc_prev: Optional[Tensor], peepholes: Sequence[Tensor],
-               biases: Sequence[Tensor]) -> Tensor:
+def lstm_gates(wz: Tensor, vh: Optional[Tensor], hc_prev: Optional[Tensor],
+               peepholes: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
     """The peephole LSTM update of one step, after its convolutions.
 
-    ``pre`` holds the gate pre-activations W*z + V*h_prev as [N, 4*hid, H, W]
-    in (i, f, c, o) order; ``hc_prev`` is the previous step's output, or None
-    for the zero state; ``peepholes`` are U_i, U_f, U_o and ``biases`` b_i,
-    b_f, b_c, b_o, each [hid, H, W] and shared by every sequence:
+    ``wz`` and ``vh`` hold W*z and V*h_prev as [N, 4*hid, H, W] in (i, f, c, o)
+    order; ``hc_prev`` is the previous step's output. From the zero state
+    ``vh`` and ``hc_prev`` are both None. ``peepholes`` are U_i, U_f, U_o and
+    ``biases`` b_i, b_f, b_c, b_o, each [hid, H, W] and shared by every
+    sequence. With pre = W*z + V*h_prev:
 
         i = sigmoid((pre_i + U_i (.) c_prev) + b_i)
         f = sigmoid((pre_f + U_f (.) c_prev) + b_f)
@@ -292,25 +293,34 @@ def lstm_gates(pre: Tensor, hc_prev: Optional[Tensor], peepholes: Sequence[Tenso
         h = o (.) tanh(c)
 
     From the zero state the c_prev terms, and with them f, drop out. Returns
-    h and c packed as [N, 2*hid, H, W], h first.
+    h and c packed as [N, 2*hid, H, W], h first: the cell's whole state.
     """
-    if pre.ndim != 4 or pre.shape[1] % 4:
-        raise ShapeError(f"lstm_gates: pre-activations must be [N, 4*hidden, H, W], "
-                         f"got {pre.shape}")
-    n, four_hid, fh, fw = pre.shape
+    if wz.ndim != 4 or wz.shape[1] % 4:
+        raise ShapeError(f"lstm_gates: W*z must be [N, 4*hidden, H, W], got {wz.shape}")
+    n, four_hid, fh, fw = wz.shape
     hid = four_hid // 4
+    if (vh is None) != (hc_prev is None):
+        raise ShapeError("lstm_gates: V*h_prev and the previous state come together")
     if len(peepholes) != 3 or len(biases) != 4:
         raise ShapeError("lstm_gates: needs 3 peephole and 4 bias tensors")
     for t in (*peepholes, *biases):
         if t.shape != (hid, fh, fw):
             raise ShapeError(f"lstm_gates: peephole/bias shape {t.shape} != {(hid, fh, fw)}")
-    if hc_prev is not None and hc_prev.shape != (n, 2 * hid, fh, fw):
-        raise ShapeError(f"lstm_gates: state shape {hc_prev.shape} != {(n, 2 * hid, fh, fw)}")
-    inputs = (pre,) + (() if hc_prev is None else (hc_prev,)) + tuple(peepholes) + tuple(biases)
+    if hc_prev is None:
+        recurrent = ()
+        pre = wz.data
+    else:
+        if vh.shape != wz.shape:
+            raise ShapeError(f"lstm_gates: V*h_prev shape {vh.shape} != {wz.shape}")
+        if hc_prev.shape != (n, 2 * hid, fh, fw):
+            raise ShapeError(f"lstm_gates: state shape {hc_prev.shape} != {(n, 2 * hid, fh, fw)}")
+        recurrent = (vh, hc_prev)
+        pre = wz.data + vh.data
+    inputs = (wz,) + recurrent + tuple(peepholes) + tuple(biases)
     dt = _same_dtype("lstm_gates", *inputs)
     u_i, u_f, u_o = (t.data for t in peepholes)
     b_i, b_f, b_c, b_o = (t.data for t in biases)
-    p_i, p_f, p_c, p_o = (pre.data[:, k * hid:(k + 1) * hid] for k in range(4))
+    p_i, p_f, p_c, p_o = (pre[:, k * hid:(k + 1) * hid] for k in range(4))
 
     out = np.empty((n, 2 * hid, fh, fw), dtype=dt)
     c = out[:, hid:]
@@ -330,7 +340,7 @@ def lstm_gates(pre: Tensor, hc_prev: Optional[Tensor], peepholes: Sequence[Tenso
 
     def backward_fn(g, needs):
         gh = g[:, :hid]
-        dpre = np.empty_like(pre.data)
+        dpre = np.empty_like(wz.data)
         da_i, da_f, da_c, da_o = (dpre[:, k * hid:(k + 1) * hid] for k in range(4))
         np.multiply(gh * tc, o * (1.0 - o), out=da_o)
         dc = (g[:, hid:] + (gh * o) * _d_tanh(tc)) + da_o * u_o
@@ -342,10 +352,10 @@ def lstm_gates(pre: Tensor, hc_prev: Optional[Tensor], peepholes: Sequence[Tenso
             g_ui = g_uf = None
         else:
             np.multiply(dc * c_prev, f * (1.0 - f), out=da_f)
-            # h_prev reaches this step only through V * h_prev, outside the op
+            # h_prev reaches this step only through V * h_prev, whose gradient is dpre
             ghc = np.zeros_like(hc_prev.data)
             ghc[:, hid:] = (dc * f + da_i * u_i) + da_f * u_f
-            g_state = (ghc,)
+            g_state = (dpre.copy(), ghc)
             g_ui = (da_i * c_prev).sum(axis=0)
             g_uf = (da_f * c_prev).sum(axis=0)
         g_uo = (da_o * c).sum(axis=0)
@@ -377,8 +387,6 @@ def avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
             out[:, :, oy, ox] = x.data[:, :, y0:y1, x0:x1].mean(axis=(2, 3))
 
     def backward_fn(g, needs):
-        if not needs[0]:
-            return (None,)
         gx = np.zeros((n, c, h, w), dtype=g.dtype)
         for oy, (y0, y1) in enumerate(ys):
             for ox, (x0, x1) in enumerate(xs):
@@ -411,8 +419,6 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out = np.matmul(np.matmul(ry, x.data), rx.T)
 
     def backward_fn(g, needs):
-        if not needs[0]:
-            return (None,)
         return (np.matmul(ry.T, np.matmul(g, rx)),)
 
     return _make("bilinear_upsample", (x,), out, backward_fn)
@@ -458,8 +464,6 @@ def softmax_ce_loss(logits: Tensor, labels: np.ndarray, ignore_index: Optional[i
     out = np.asarray(loss, dtype=z.dtype).reshape(())
 
     def backward_fn(g, needs):
-        if not needs[0]:
-            return (None,)
         scale_ = g.item() / count
         dl = (ez / sez) * scale_
         ni, yi, xi = np.nonzero(valid)
@@ -506,8 +510,6 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     out = np.ascontiguousarray(x.data[:, start:stop])
 
     def backward_fn(g, needs):
-        if not needs[0]:
-            return (None,)
         gx = np.zeros_like(x.data)
         gx[:, start:stop] = g
         return (gx,)
@@ -544,7 +546,7 @@ def expand_batch(t: Tensor, n: int) -> Tensor:
     out = np.repeat(t.data[None], n, axis=0)
 
     def backward_fn(g, needs):
-        return (g.sum(axis=0),) if needs[0] else (None,)
+        return (g.sum(axis=0),)
 
     return _make("expand_batch", (t,), out, backward_fn)
 
@@ -559,8 +561,6 @@ def gather_batch(x: Tensor, rows: range) -> Tensor:
     sl = slice(rows[0], rows[-1] + 1, rows.step)
 
     def backward_fn(g, needs):
-        if not needs[0]:
-            return (None,)
         gx = np.zeros_like(x.data)
         gx[sl] += g  # as a scatter-add: 0.0 + -0.0 is +0.0
         return (gx,)
@@ -572,8 +572,6 @@ def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.data.dtype).reshape(())
 
     def backward_fn(g, needs):
-        if not needs[0]:
-            return (None,)
         return (np.full(x.shape, g.item(), dtype=x.data.dtype),)
 
     return _make("sum_all", (x,), out, backward_fn)

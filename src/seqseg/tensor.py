@@ -89,7 +89,8 @@ class Tensor:
 
 
 # A backward rule receives the output gradient and a per-input "needed" mask,
-# and returns one gradient (or None) per input, in input order.
+# and returns one gradient (or None) per input, in input order. A node is
+# recorded only when an input needs a gradient, so one-input rules ignore it.
 BackwardFn = Callable[[np.ndarray, tuple], tuple]
 
 

@@ -90,11 +90,11 @@ def test_convlstm_zero_fixed_point():
     from seqseg.convlstm import cell_step, project_input
 
     v = ops.concat_kernels([cell.params[f"V_{g}"] for g in "ifco"])
-    state = None
+    hc = None
     for z in zs:
-        state = cell_step(cell, project_input(cell, z), state, v)
-    # state.hc packs h_T and c_T
-    ok = bool(np.all(state.hc.data == 0.0))
+        hc = cell_step(cell, project_input(cell, z), hc, v)
+    # hc packs h_T and c_T
+    ok = bool(hc.shape == (2, 10, 6, 6) and np.all(hc.data == 0.0))
     report("convlstm-zero-fixed-point", ok, "h_T and c_T exactly zero for T=4")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from seqseg import checkpoint as ckptmod
-from seqseg import ops
+from seqseg import imgio, ops
 from seqseg.cli import main
 from seqseg.config import TrainConfig, load_model_json, save_model_json
 from seqseg.data import load_dataset
@@ -99,6 +99,22 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--config", str(gen_args)]) == 2
         assert main(["gen-data", "--out", str(out), "--config", str(gen_args),
                      "--force"]) == 0
+
+    def test_force_replaces_the_previous_dataset(self, tmp_path, gen_args):
+        # a smaller dataset over a larger one: none of the old clips or pool
+        # images stay, and files that are not part of a dataset are kept
+        out = tmp_path / "e"
+        assert main(["gen-data", "--out", str(out), "--config", str(gen_args),
+                     "--clips", "4", "--val-clips", "2"]) == 0
+        (out / "noise_pool" / "img_0099.ppm").write_bytes(b"stale")
+        (out / "notes.txt").write_text("x")
+        assert main(["gen-data", "--out", str(out), "--config", str(gen_args),
+                     "--clips", "2", "--val-clips", "1", "--force"]) == 0
+        ds = load_dataset(out)
+        assert len(ds.train) == 2 and len(ds.val) == 1
+        assert sorted(p.name for p in (out / "train").iterdir()) == ["clip_0000", "clip_0001"]
+        assert len(list((out / "noise_pool").iterdir())) == 3
+        assert (out / "notes.txt").read_text() == "x"
 
 
 class TestRunConfig:
@@ -304,10 +320,18 @@ class TestEval:
         ckpt = tmp_path / "checkpoints" / "final.ckpt"
         ckpt.parent.mkdir()
         shutil.copy(trained_dir / "checkpoints" / "phase2_epoch000.ckpt", ckpt)
+        shutil.copy(trained_dir / "model.json", tmp_path / "model.json")
         assert main(["eval", "--data", str(dataset_dir), "--ckpt", str(ckpt),
-                     "--model-config", str(trained_dir / "model.json"),
                      "--out", str(tmp_path / "eval")]) == 2
         assert "cannot tell the phase" in capsys.readouterr().err
+
+    def test_model_config_flag_is_usage_error(self, tmp_path, dataset_dir, trained_dir):
+        # the model always comes from the run's own model.json
+        assert main(["eval", "--data", str(dataset_dir),
+                     "--ckpt", str(trained_dir / "checkpoints" / "phase2_epoch000.ckpt"),
+                     "--model-config", str(trained_dir / "model.json"),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert not (tmp_path / "eval").exists()
 
     def test_dimension_mismatch_names_sizes(self, tmp_path, dataset_dir, capsys):
         # a checkpoint built for 44x44 frames cannot evaluate 28x28 data
@@ -592,6 +616,29 @@ class TestExitCodes:
         frame.write_bytes(frame.read_bytes()[:100])
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
                      "--config", str(run_cfg_path)]) == 2
+
+    @pytest.mark.parametrize("damage", ["extra-clip", "missing-clip", "small-frame",
+                                        "small-label", "header-not-integer"])
+    def test_dataset_unlike_its_meta_is_data_error(self, tmp_path, dataset_dir, run_cfg_path,
+                                                   capsys, damage):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        clip = data / "train" / "clip_0001"
+        if damage == "extra-clip":
+            shutil.copytree(clip, clip.with_name("clip_0002"))
+        elif damage == "missing-clip":
+            shutil.rmtree(clip)
+        elif damage == "small-frame":
+            imgio.write_ppm(clip / "frame_003.ppm", np.zeros((16, 16, 3), np.uint8))
+        elif damage == "small-label":
+            imgio.write_pgm(clip / "label_003.pgm", np.zeros((16, 16), np.uint8))
+        else:
+            frame = clip / "frame_003.ppm"
+            pixels = frame.read_bytes()[len(b"P6\n28 28\n255\n"):]
+            frame.write_bytes(b"P6\n3x 28\n255\n" + pixels)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--config", str(run_cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_malformed_meta_is_data_error(self, tmp_path, dataset_dir, run_cfg_path):
         data = tmp_path / "ds"

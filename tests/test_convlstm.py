@@ -6,13 +6,7 @@ import pytest
 
 import oracles
 from seqseg import gradcheck, ops
-from seqseg.convlstm import (
-    ConvLSTMCell,
-    ConvLSTMState,
-    cell_step,
-    encode_sequence,
-    project_input,
-)
+from seqseg.convlstm import ConvLSTMCell, cell_step, encode_sequence, project_input
 from seqseg.tensor import GradTape, ShapeError, Tensor, backward
 
 
@@ -32,25 +26,29 @@ def v_kernel(cell):
 
 
 def packed_state(h, c):
-    """A ConvLSTMState holding the given h and c arrays."""
-    return ConvLSTMState(h=Tensor(h), hc=Tensor(np.concatenate([h, c], axis=1)))
+    """The packed state holding the given h and c arrays, h first."""
+    return Tensor(np.concatenate([h, c], axis=1))
 
 
-def c_of(state):
-    return state.hc.data[:, state.h.shape[1]:]
+def h_of(hc):
+    return hc.data[:, :hc.shape[1] // 2]
 
 
-def step(cell, z, state):
-    return cell_step(cell, project_input(cell, z), state, v_kernel(cell))
+def c_of(hc):
+    return hc.data[:, hc.shape[1] // 2:]
+
+
+def step(cell, z, hc):
+    return cell_step(cell, project_input(cell, z), hc, v_kernel(cell))
 
 
 class TestCellStep:
     def test_zero_parameters_fixed_point(self, rng):
         cell = zero_params_cell(rng)
         z = Tensor(rng.standard_normal((2, 2, 4, 4)), dtype="float64")
-        state = step(cell, z, None)
-        assert np.all(state.h.data == 0.0)
-        assert np.all(c_of(state) == 0.0)
+        hc = step(cell, z, None)
+        assert np.all(h_of(hc) == 0.0)
+        assert np.all(c_of(hc) == 0.0)
 
     def test_saturated_gates_carry_memory(self, rng):
         cell = zero_params_cell(rng)
@@ -84,8 +82,8 @@ class TestCellStep:
 
         def loss_fn():
             # from a non-zero state, so that every term of the step is live
-            state = step(cell, z, packed_state(h0, c0))
-            return ops.sum_all(ops.hadamard(state.h, probe))
+            hc = step(cell, z, packed_state(h0, c0))
+            return ops.sum_all(ops.hadamard(ops.slice_channels(hc, 0, 3), probe))
 
         report = gradcheck.grad_check(loss_fn, cell.params, rng=rng)
         assert report.passed, "\n".join(report.lines())
@@ -116,9 +114,9 @@ class TestCellStep:
                 t.grad = None
             return hs, cs, grads
 
-        def fused(z, state):
-            state = step(cell, z, state)
-            return state, state.h, c_of(state)
+        def fused(z, hc):
+            hc = step(cell, z, hc)
+            return hc, ops.slice_channels(hc, 0, 4), c_of(hc)
 
         def per_gate(z, state):
             state = oracles.convlstm_step_per_gate(cell, z, state)
@@ -154,19 +152,31 @@ class TestCellStep:
         # 3-channel cell on 2 sequences is h and c packed as [2, 6, 4, 4]
         cell = make_cell(rng)
         wz = Tensor(np.zeros((2, 12, 4, 4)))
-        bad = ConvLSTMState(h=Tensor(np.zeros((2, 3, 4, 4))), hc=Tensor(np.zeros(hc_shape)))
         with pytest.raises(ShapeError):
-            cell_step(cell, wz, bad, v_kernel(cell))
+            cell_step(cell, wz, Tensor(np.zeros(hc_shape)), v_kernel(cell))
+
+    @pytest.mark.parametrize("vh_shape,hc_shape,match", [
+        ((2, 12, 4, 4), None, "come together"),
+        (None, (2, 6, 4, 4), "come together"),
+        ((1, 12, 4, 4), (2, 6, 4, 4), r"V\*h_prev shape"),
+    ], ids=["lone-vh", "lone-hc_prev", "vh-shape"])
+    def test_gate_op_rejects_a_partial_or_misshapen_state(self, rng, vh_shape, hc_shape,
+                                                           match):
+        p = make_cell(rng).params
+        vh, hc = (None if s is None else Tensor(np.zeros(s)) for s in (vh_shape, hc_shape))
+        with pytest.raises(ShapeError, match=match):
+            ops.lstm_gates(Tensor(np.zeros((2, 12, 4, 4))), vh, hc,
+                           [p[f"U_{g}"] for g in "ifo"], [p[f"b_{g}"] for g in "ifco"])
 
     def test_zero_state_step_runs_no_state_convolution(self, rng):
         cell = make_cell(rng)
         wz = project_input(cell, Tensor(rng.standard_normal((1, 2, 4, 4)), dtype="float64"))
         with GradTape() as tape:
-            state = cell_step(cell, wz, None, v_kernel(cell))
-            cell_step(cell, wz, state, v_kernel(cell))
+            hc = cell_step(cell, wz, None, v_kernel(cell))
+            cell_step(cell, wz, hc, v_kernel(cell))
         ops_run = [node.op for node in tape.nodes]
-        assert ops_run == ["concat_kernels", "lstm_gates", "slice_channels", "concat_kernels",
-                           "conv2d", "add", "lstm_gates", "slice_channels"]
+        assert ops_run == ["concat_kernels", "lstm_gates", "concat_kernels", "slice_channels",
+                           "conv2d", "lstm_gates"]
 
 
 class TestEncodeSequence:
@@ -175,7 +185,7 @@ class TestEncodeSequence:
         z = Tensor(rng.standard_normal((2, 2, 4, 4)), dtype="float64")
         g = encode_sequence(cell, [z])
         direct = step(cell, z, None)
-        np.testing.assert_array_equal(g.data, direct.h.data)
+        np.testing.assert_array_equal(g.data, h_of(direct))
 
     def test_zero_cell_gives_zero_summary(self, rng):
         cell = zero_params_cell(rng)
@@ -198,12 +208,12 @@ class TestEncodeSequence:
     def test_state_range_invariants(self, rng):
         cell = make_cell(rng)
         gradcheck.randomize_cell(cell, rng, scale=1.5)
-        state = None
+        hc = None
         for t in range(1, 6):
             z = Tensor(5.0 * rng.standard_normal((1, 2, 4, 4)), dtype="float64")
-            state = step(cell, z, state)
-            assert np.abs(state.h.data).max() < 1.0
-            assert np.abs(c_of(state)).max() < t
+            hc = step(cell, z, hc)
+            assert np.abs(h_of(hc)).max() < 1.0
+            assert np.abs(c_of(hc)).max() < t
 
     def test_gradient_reaches_first_frame(self, rng):
         cell = make_cell(rng)

@@ -116,7 +116,7 @@ class TestForward:
         logits = net64.forward(seqs, training=False)
         assert logits.shape == (3, 4, 32, 32)
 
-    @pytest.mark.parametrize("mode,nodes,gathers", [("phase1", 35, 1), ("phase2", 55, 4)])
+    @pytest.mark.parametrize("mode,nodes,gathers", [("phase1", 35, 1), ("phase2", 52, 4)])
     def test_training_step_tape(self, rng, mode, nodes, gathers):
         # a default training step gathers only the steps its phase reads:
         # the target step in phase 1, all T=4 in phase 2
@@ -205,6 +205,11 @@ class TestParamRegistry:
         assert not any(k.startswith("convlstm.") for k in net64.trainable_params())
         net64.set_mode("phase2")
         assert any(k.startswith("convlstm.") for k in net64.trainable_params())
+
+    @pytest.mark.parametrize("mode", ["phase3", "Phase2", ""])
+    def test_unknown_mode_rejected_by_constructor(self, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            SegNet(tiny_cfg(), seed=0, mode=mode)
 
     def test_reinit_cell_changes_parameters(self, net64):
         before = net64.cell.params["W_i"].data.copy()
