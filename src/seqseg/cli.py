@@ -276,8 +276,6 @@ SWEEP_PARAMS = {
 
 
 def cmd_sweep(args) -> int:
-    if args.param not in SWEEP_PARAMS:
-        raise UsageError(f"unknown sweep parameter {args.param!r}")
     field_name, caster = SWEEP_PARAMS[args.param]
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not values:

@@ -99,8 +99,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.seq_len < 1 or self.n_sequences < 1:
             raise DataError("seq_len and n_sequences must be >= 1")
-        if self.epochs_phase1 < 1 or self.epochs_phase2 < 0:
+        if self.epochs_phase1 < 1:
             raise DataError("need at least 1 epoch in phase 1")
+        if self.epochs_phase2 < 0:
+            raise DataError("need 0 or more epochs in phase 2")
         if self.steps_per_epoch < 1:
             raise DataError("steps_per_epoch must be >= 1")
         if self.interval < 1:

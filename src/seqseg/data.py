@@ -327,6 +327,11 @@ def center_crop(a: np.ndarray, crop_h: int, crop_w: int) -> np.ndarray:
 # On-disk format
 
 
+def _clip_files(cdir: Path, t: int) -> tuple:
+    """The frame and label files of frame ``t`` in clip directory ``cdir``."""
+    return cdir / f"frame_{t:03d}.ppm", cdir / f"label_{t:03d}.pgm"
+
+
 def save_dataset(dataset: SynthDataset, out_dir) -> None:
     out = Path(out_dir)
     for split in ("train", "val"):
@@ -334,9 +339,9 @@ def save_dataset(dataset: SynthDataset, out_dir) -> None:
             cdir = out / split / f"clip_{clip.clip_id:04d}"
             cdir.mkdir(parents=True, exist_ok=True)
             for t in range(len(clip)):
-                imgio.write_ppm(cdir / f"frame_{t:03d}.ppm",
-                                clip.frames[t].transpose(1, 2, 0))
-                imgio.write_pgm(cdir / f"label_{t:03d}.pgm", clip.labels[t])
+                frame_path, label_path = _clip_files(cdir, t)
+                imgio.write_ppm(frame_path, clip.frames[t].transpose(1, 2, 0))
+                imgio.write_pgm(label_path, clip.labels[t])
     meta = {"config": dataclasses.asdict(dataset.cfg), "fps": dataset.cfg.fps,
             "ignore_index": IGNORE_INDEX,
             "format": {"frames": "P6 ppm", "labels": "P5 pgm (value = class id)"}}
@@ -373,13 +378,15 @@ def load_dataset(root, splits: tuple = ("train", "val")) -> SynthDataset:
         sdir = root / split
         if sdir.exists():
             for cdir in sorted(p for p in sdir.iterdir() if p.is_dir()):
-                frame_paths = imgio.list_images(cdir, ".ppm")
-                label_paths = imgio.list_images(cdir, ".pgm")
-                if len(frame_paths) != len(label_paths) or not frame_paths:
-                    raise DataError(f"clip directory {cdir} is incomplete")
-                frames = np.stack([read(p, imgio.read_ppm, size + (3,)).transpose(2, 0, 1)
-                                   for p in frame_paths])
-                labels = np.stack([read(p, imgio.read_pgm, size) for p in label_paths])
+                counts = [len(imgio.list_images(cdir, suffix)) for suffix in (".ppm", ".pgm")]
+                if counts != [cfg.clip_len] * 2:
+                    raise DataError(f"clip directory {cdir} holds {counts[0]} frames and "
+                                    f"{counts[1]} labels, meta.json says {cfg.clip_len}")
+                # in index order: frame_1000.ppm sorts before frame_101.ppm
+                paths = [_clip_files(cdir, t) for t in range(cfg.clip_len)]
+                frames = np.stack([read(f, imgio.read_ppm, size + (3,)).transpose(2, 0, 1)
+                                   for f, _ in paths])
+                labels = np.stack([read(lab, imgio.read_pgm, size) for _, lab in paths])
                 clip_id = int(cdir.name.split("_")[-1])
                 clips_of[split].append(VideoClip(clip_id=clip_id, frames=frames,
                                                  labels=labels, fps=fps))

@@ -63,7 +63,7 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict, *, epsilon: float = 
 
     Every parameter element is checked when a parameter has at most
     ``max_elements`` entries; larger parameters get a random subsample of
-    ``max_elements`` (>= 50 by contract). The relative error is
+    ``max_elements`` of them, without repeats. The relative error is
     |analytic - numeric| / max(1, |analytic|, |numeric|), reported per
     parameter; the harness never raises on a failed comparison.
     """

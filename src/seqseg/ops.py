@@ -8,6 +8,11 @@ adaptation goes through explicit ops (``expand_batch``); only
 ``lstm_gates`` applies its per-element peephole and bias maps to every
 sequence of the batch itself. Every forward result is checked finite; a
 NaN/Inf output on finite inputs is an operation error, not a value.
+
+Each op hands ``_make`` its tensor inputs, its output array and a backward
+rule. ``_make`` is the one place that checks the inputs share a dtype. The
+rule takes only the output gradient and returns one gradient (or None) per
+input; the tape keeps those of the inputs that require one.
 """
 
 from __future__ import annotations
@@ -20,21 +25,13 @@ from .imutil import interp_weights
 from .tensor import NonFiniteError, ShapeError, Tensor, active_tape
 
 
-def _ensure_finite(op: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"op '{op}' produced non-finite values", op=op)
-
-
-def _same_dtype(op: str, *tensors: Tensor) -> np.dtype:
-    dt = tensors[0].data.dtype
-    for t in tensors[1:]:
+def _make(op: str, inputs: Sequence[Tensor], data: np.ndarray, backward_fn) -> Tensor:
+    dt = inputs[0].data.dtype
+    for t in inputs[1:]:
         if t.data.dtype != dt:
             raise ShapeError(f"{op}: mixed dtypes {dt} and {t.data.dtype}")
-    return dt
-
-
-def _make(op: str, inputs: Sequence[Tensor], data: np.ndarray, backward_fn) -> Tensor:
-    _ensure_finite(op, data)
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"op '{op}' produced non-finite values", op=op)
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     tape = active_tape()
     if tape is not None and out.requires_grad:
@@ -100,7 +97,6 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, *, stride: int = 1,
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"conv2d: empty output {out_h}x{out_w} for input {h}x{wd}")
 
-    _same_dtype("conv2d", *((x, w, b) if b is not None else (x, w)))
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
@@ -113,19 +109,19 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, *, stride: int = 1,
 
     inputs = (x, w, b) if b is not None else (x, w)
 
-    def backward_fn(g: np.ndarray, needs: tuple) -> tuple:
+    def backward_fn(g: np.ndarray) -> tuple:
         gmat = g.reshape(n, cout, out_h * out_w)
         gx = gw = gb = None
-        if needs[0]:
+        if x.requires_grad:
             gcol = np.matmul(wmat.T, gmat)
             gxp = _col2im(gcol, n, cin, xp.shape[2], xp.shape[3], kh, kw,
                           stride, dilation, out_h, out_w)
             gx = gxp[:, :, padding:padding + h, padding:padding + wd] if padding else gxp
             gx = np.ascontiguousarray(gx)
-        if needs[1]:
+        if w.requires_grad:
             col_again = _im2col(xp, kh, kw, stride, dilation, out_h, out_w)
             gw = np.einsum("ncp,nkp->ck", gmat, col_again, optimize=True).reshape(w.shape)
-        if b is not None and needs[2]:
+        if b is not None and b.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gw, gb) if b is not None else (gx, gw)
 
@@ -144,19 +140,25 @@ class RunningStats:
         self.var = np.ones(channels, dtype=dtype)
 
 
+# the weight of a batch's statistics in the running averages, and the
+# variance offset that keeps the normalization finite
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, *,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
-    Train mode normalizes with batch statistics and updates ``stats`` by
-    exponential moving average; eval mode normalizes with ``stats``.
+    Train mode normalizes with batch statistics and, once the output is
+    made, updates ``stats`` by exponential moving average; eval mode
+    normalizes with ``stats``.
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.shape}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm: gamma/beta must have shape ({c},)")
-    _same_dtype("batch_norm", x, gamma, beta)
     m = x.shape[0] * x.shape[2] * x.shape[3]
 
     if training:
@@ -164,34 +166,30 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, *,
             raise ShapeError("batch_norm: train mode needs at least 2 values per channel")
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        stats.mean = ((1.0 - momentum) * stats.mean + momentum * mean).astype(stats.mean.dtype)
-        stats.var = ((1.0 - momentum) * stats.var + momentum * var).astype(stats.var.dtype)
     else:
         mean = stats.mean.astype(x.data.dtype)
         var = stats.var.astype(x.data.dtype)
 
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[None, :, None, None]) * ivar[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
-    def backward_fn(g: np.ndarray, needs: tuple) -> tuple:
-        gx = ggamma = gbeta = None
-        if needs[1]:
-            ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        if needs[2]:
-            gbeta = g.sum(axis=(0, 2, 3))
-        if needs[0]:
-            gxhat = g * gamma.data[None, :, None, None]
-            if training:
-                s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (ivar[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
-            else:
-                gx = gxhat * ivar[None, :, None, None]
-            gx = gx.astype(x.data.dtype, copy=False)
-        return gx, ggamma, gbeta
+    def backward_fn(g: np.ndarray) -> tuple:
+        gxhat = g * gamma.data[None, :, None, None]
+        if training:
+            s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+            s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            gx = (ivar[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
+        else:
+            gx = gxhat * ivar[None, :, None, None]
+        return (gx.astype(x.data.dtype, copy=False), (g * xhat).sum(axis=(0, 2, 3)),
+                g.sum(axis=(0, 2, 3)))
 
-    return _make("batch_norm", (x, gamma, beta), out, backward_fn)
+    result = _make("batch_norm", (x, gamma, beta), out, backward_fn)
+    if training:
+        stats.mean = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mean).astype(stats.mean.dtype)
+        stats.var = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * var).astype(stats.var.dtype)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, output clamped strictly inside (0, 1)."""
     out = _sigmoid(x.data)
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         return (g * out * (1.0 - out),)
 
     return _make("sigmoid", (x,), out, backward_fn)
@@ -232,7 +230,7 @@ def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent, output clamped strictly inside (-1, 1)."""
     out = _tanh(x.data)
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         return (g * _d_tanh(out),)
 
     return _make("tanh", (x,), out, backward_fn)
@@ -242,7 +240,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = np.where(mask, x.data, x.data.dtype.type(0))
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         return (g * mask,)
 
     return _make("relu", (x,), out, backward_fn)
@@ -251,10 +249,9 @@ def relu(x: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ (no broadcasting)")
-    _same_dtype("add", a, b)
 
-    def backward_fn(g, needs):
-        return (g if needs[0] else None, g.copy() if needs[1] else None)
+    def backward_fn(g):
+        return g, g.copy()
 
     return _make("add", (a, b), a.data + b.data, backward_fn)
 
@@ -262,12 +259,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ (no broadcasting)")
-    _same_dtype("hadamard", a, b)
 
-    def backward_fn(g, needs):
-        ga = g * b.data if needs[0] else None
-        gb = g * a.data if needs[1] else None
-        return ga, gb
+    def backward_fn(g):
+        return g * b.data, g * a.data
 
     return _make("hadamard", (a, b), a.data * b.data, backward_fn)
 
@@ -317,12 +311,11 @@ def lstm_gates(wz: Tensor, vh: Optional[Tensor], hc_prev: Optional[Tensor],
         recurrent = (vh, hc_prev)
         pre = wz.data + vh.data
     inputs = (wz,) + recurrent + tuple(peepholes) + tuple(biases)
-    dt = _same_dtype("lstm_gates", *inputs)
     u_i, u_f, u_o = (t.data for t in peepholes)
     b_i, b_f, b_c, b_o = (t.data for t in biases)
     p_i, p_f, p_c, p_o = (pre[:, k * hid:(k + 1) * hid] for k in range(4))
 
-    out = np.empty((n, 2 * hid, fh, fw), dtype=dt)
+    out = np.empty((n, 2 * hid, fh, fw), dtype=wz.data.dtype)
     c = out[:, hid:]
     cand = _tanh(p_c + b_c)
     if hc_prev is None:
@@ -338,7 +331,7 @@ def lstm_gates(wz: Tensor, vh: Optional[Tensor], hc_prev: Optional[Tensor],
     tc = _tanh(c)
     np.multiply(o, tc, out=out[:, :hid])
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         gh = g[:, :hid]
         dpre = np.empty_like(wz.data)
         da_i, da_f, da_c, da_o = (dpre[:, k * hid:(k + 1) * hid] for k in range(4))
@@ -386,7 +379,7 @@ def avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
         for ox, (x0, x1) in enumerate(xs):
             out[:, :, oy, ox] = x.data[:, :, y0:y1, x0:x1].mean(axis=(2, 3))
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         gx = np.zeros((n, c, h, w), dtype=g.dtype)
         for oy, (y0, y1) in enumerate(ys):
             for ox, (x0, x1) in enumerate(xs):
@@ -418,7 +411,7 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     rx = _interp_matrix(out_w, w, x.data.dtype)
     out = np.matmul(np.matmul(ry, x.data), rx.T)
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         return (np.matmul(ry.T, np.matmul(g, rx)),)
 
     return _make("bilinear_upsample", (x,), out, backward_fn)
@@ -463,7 +456,7 @@ def softmax_ce_loss(logits: Tensor, labels: np.ndarray, ignore_index: Optional[i
     loss = -(picked[valid].sum()) / count
     out = np.asarray(loss, dtype=z.dtype).reshape(())
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         scale_ = g.item() / count
         dl = (ez / sez) * scale_
         ni, yi, xi = np.nonzero(valid)
@@ -478,26 +471,29 @@ def softmax_ce_loss(logits: Tensor, labels: np.ndarray, ignore_index: Optional[i
 # Structural ops
 
 
+def _concat(op: str, tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Concatenate 4D tensors along ``axis``; every other dim must agree."""
+    if not tensors:
+        raise ShapeError(f"{op}: empty input list")
+    base = tensors[0].shape
+    for t in tensors:
+        if t.ndim != 4 or t.shape[:axis] + t.shape[axis + 1:] != base[:axis] + base[axis + 1:]:
+            raise ShapeError(f"{op}: inputs must be 4D and agree on every dim but "
+                             f"{axis}, got {base} and {t.shape}")
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * axis
+
+    def backward_fn(g):
+        # views of g, not copies: each input's gradient is its own slice
+        return tuple(g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:]))
+
+    return _make(op, tuple(tensors), out, backward_fn)
+
+
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate NCHW tensors along the channel axis."""
-    if not tensors:
-        raise ShapeError("concat_channels: empty input list")
-    base = tensors[0]
-    for t in tensors[1:]:
-        if t.ndim != 4 or t.shape[0] != base.shape[0] or t.shape[2:] != base.shape[2:]:
-            raise ShapeError("concat_channels: batch/spatial dims must agree")
-    _same_dtype("concat_channels", *tensors)
-    sizes = [t.shape[1] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g, needs):
-        return tuple(
-            np.ascontiguousarray(g[:, offsets[i]:offsets[i + 1]]) if needs[i] else None
-            for i in range(len(sizes))
-        )
-
-    return _make("concat_channels", tuple(tensors), out, backward_fn)
+    return _concat("concat_channels", tensors, 1)
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
@@ -509,7 +505,7 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
                          f"of {x.shape[1]} channels")
     out = np.ascontiguousarray(x.data[:, start:stop])
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         gx = np.zeros_like(x.data)
         gx[:, start:stop] = g
         return (gx,)
@@ -519,22 +515,7 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 
 def concat_kernels(kernels: Sequence[Tensor]) -> Tensor:
     """Stack [Co, Ci, kh, kw] convolution kernels along the output axis."""
-    if not kernels:
-        raise ShapeError("concat_kernels: empty input list")
-    base = kernels[0]
-    for k in kernels:
-        if k.ndim != 4 or k.shape[1:] != base.shape[1:]:
-            raise ShapeError("concat_kernels: kernels must be 4D with equal input and "
-                             f"window dims, got {base.shape} and {k.shape}")
-    _same_dtype("concat_kernels", *kernels)
-    offsets = np.cumsum([0] + [k.shape[0] for k in kernels])
-    out = np.concatenate([k.data for k in kernels], axis=0)
-
-    def backward_fn(g, needs):
-        return tuple(g[offsets[i]:offsets[i + 1]] if needs[i] else None
-                     for i in range(len(kernels)))
-
-    return _make("concat_kernels", tuple(kernels), out, backward_fn)
+    return _concat("concat_kernels", kernels, 0)
 
 
 def expand_batch(t: Tensor, n: int) -> Tensor:
@@ -545,7 +526,7 @@ def expand_batch(t: Tensor, n: int) -> Tensor:
         raise ShapeError("expand_batch: n must be >= 1")
     out = np.repeat(t.data[None], n, axis=0)
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         return (g.sum(axis=0),)
 
     return _make("expand_batch", (t,), out, backward_fn)
@@ -560,7 +541,7 @@ def gather_batch(x: Tensor, rows: range) -> Tensor:
         raise ShapeError(f"gather_batch: rows {rows!r} out of range for batch {x.shape[0]}")
     sl = slice(rows[0], rows[-1] + 1, rows.step)
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         gx = np.zeros_like(x.data)
         gx[sl] += g  # as a scatter-add: 0.0 + -0.0 is +0.0
         return (gx,)
@@ -571,7 +552,7 @@ def gather_batch(x: Tensor, rows: range) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.data.dtype).reshape(())
 
-    def backward_fn(g, needs):
+    def backward_fn(g):
         return (np.full(x.shape, g.item(), dtype=x.data.dtype),)
 
     return _make("sum_all", (x,), out, backward_fn)

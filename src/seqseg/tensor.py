@@ -88,10 +88,11 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name})"
 
 
-# A backward rule receives the output gradient and a per-input "needed" mask,
-# and returns one gradient (or None) per input, in input order. A node is
-# recorded only when an input needs a gradient, so one-input rules ignore it.
-BackwardFn = Callable[[np.ndarray, tuple], tuple]
+# A backward rule receives only the output gradient and returns one gradient
+# (or None) per input, in input order. ``backward`` keeps the gradients of the
+# inputs that require one and drops the rest; an op reads ``requires_grad``
+# itself only to skip work. Input dtypes are checked once, by ``ops._make``.
+BackwardFn = Callable[[np.ndarray], tuple]
 
 
 class TapeNode:
@@ -155,20 +156,17 @@ def backward(tape: GradTape, loss: Tensor) -> None:
         raise TapeError("loss is not an output recorded on this tape")
 
     tape.consumed = True
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # tensors hash by identity, so each one keys its own gradient
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
 
     # pop each node as it is replayed, freeing its output and saved arrays
     while tape.nodes:
         node = tape.nodes.pop()
-        grad_out = grads.pop(id(node.output), None)
-        holders.pop(id(node.output), None)
+        grad_out = grads.pop(node.output, None)
         if grad_out is None:
             continue
-        needs = tuple(t.requires_grad for t in node.inputs)
-        input_grads = node.backward_fn(grad_out, needs)
-        for tensor, gin, need in zip(node.inputs, input_grads, needs):
-            if not need or gin is None:
+        for tensor, gin in zip(node.inputs, node.backward_fn(grad_out)):
+            if gin is None or not tensor.requires_grad:
                 continue
             if not np.isfinite(gin).all():
                 raise NonFiniteError(
@@ -176,28 +174,20 @@ def backward(tape: GradTape, loss: Tensor) -> None:
                     op=node.op,
                     op_id=node.op_id,
                 )
-            key = id(tensor)
-            if key in grads:
-                grads[key] += gin
+            if tensor in grads:
+                grads[tensor] += gin
             else:
-                grads[key] = gin
-                holders[key] = tensor
+                grads[tensor] = gin
 
-    for key, grad in grads.items():
-        leaf = holders[key]
-        if leaf.requires_grad:
-            if grad.shape != leaf.data.shape:
-                raise TapeError(
-                    f"gradient shape {grad.shape} does not match leaf shape {leaf.data.shape}"
-                )
-            if leaf.grad is None:
-                leaf.grad = grad
-            else:
-                leaf.grad = leaf.grad + grad
+    for leaf, grad in grads.items():
+        if grad.shape != leaf.data.shape:
+            raise TapeError(
+                f"gradient shape {grad.shape} does not match leaf shape {leaf.data.shape}"
+            )
+        leaf.grad = grad if leaf.grad is None else leaf.grad + grad
 
 
-def zero_grads(params) -> None:
-    """Reset gradients of an iterable (or dict) of parameter tensors."""
-    tensors = params.values() if isinstance(params, dict) else params
-    for t in tensors:
+def zero_grads(params: dict) -> None:
+    """Reset the gradients of a dict of parameter tensors."""
+    for t in params.values():
         t.grad = None

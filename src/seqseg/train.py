@@ -27,14 +27,17 @@ from .tensor import GradTape, NonFiniteError, backward, zero_grads
 # Adam
 
 
+# the decay rates of Adam's two moment averages, and its denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
@@ -55,15 +58,15 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}", op=name)
         if name not in state.m:
             raise DataError(f"optimizer state missing parameter {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (g * g)
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 LR_DROP_FACTOR = 10.0

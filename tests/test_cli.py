@@ -617,8 +617,8 @@ class TestExitCodes:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
                      "--config", str(run_cfg_path)]) == 2
 
-    @pytest.mark.parametrize("damage", ["extra-clip", "missing-clip", "small-frame",
-                                        "small-label", "header-not-integer"])
+    @pytest.mark.parametrize("damage", ["extra-clip", "missing-clip", "missing-last-frame",
+                                        "small-frame", "small-label", "header-not-integer"])
     def test_dataset_unlike_its_meta_is_data_error(self, tmp_path, dataset_dir, run_cfg_path,
                                                    capsys, damage):
         data = tmp_path / "ds"
@@ -628,6 +628,9 @@ class TestExitCodes:
             shutil.copytree(clip, clip.with_name("clip_0002"))
         elif damage == "missing-clip":
             shutil.rmtree(clip)
+        elif damage == "missing-last-frame":
+            (clip / "frame_007.ppm").unlink()
+            (clip / "label_007.pgm").unlink()
         elif damage == "small-frame":
             imgio.write_ppm(clip / "frame_003.ppm", np.zeros((16, 16, 3), np.uint8))
         elif damage == "small-label":
@@ -678,6 +681,13 @@ class TestExitCodes:
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
                      "--config", str(path)]) == 2
         assert not (tmp_path / "run" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--epochs-phase1", "0"), ("--epochs-phase2", "-1")])
+    def test_bad_epoch_count_names_its_phase(self, tmp_path, dataset_dir, run_cfg_path,
+                                             capsys, flag, value):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(run_cfg_path), flag, value]) == 2
+        assert f"in phase {flag[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg,flags", [
         ({"clip_len": "40"}, []), ({"height": 28.0}, []), ({"speed_max": "2.5"}, []),

@@ -258,3 +258,22 @@ class TestDiskFormat:
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(DataError, match="meta.json"):
             load_dataset(tmp_path)
+
+    def test_clip_shorter_than_meta_rejected(self, tmp_path):
+        # a clip that lost its last frame and label would load as 11 frames
+        save_dataset(generate_dataset(small_cfg(train_clips=0, val_clips=3, pool_images=0)),
+                     tmp_path)
+        clip = tmp_path / "val" / "clip_0000"
+        (clip / "frame_011.ppm").unlink()
+        (clip / "label_011.pgm").unlink()
+        with pytest.raises(DataError, match="11 frames and 11 labels, meta.json says 12"):
+            load_dataset(tmp_path)
+
+    def test_frames_load_in_index_order(self, tmp_path):
+        # by name, frame_1000.ppm sorts before frame_101.ppm
+        ds = generate_dataset(small_cfg(train_clips=0, val_clips=1, clip_len=1002,
+                                        height=32, width=32, pool_images=0))
+        save_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path).val[0]
+        np.testing.assert_array_equal(loaded.frames, ds.val[0].frames)
+        np.testing.assert_array_equal(loaded.labels, ds.val[0].labels)

@@ -85,6 +85,22 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ops.conv2d(x, w)
 
+    def test_input_without_grad_skips_col2im(self, rng, monkeypatch):
+        calls = []
+        col2im = ops._col2im
+        monkeypatch.setattr(ops, "_col2im", lambda *a: calls.append(1) or col2im(*a))
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), dtype="float64", requires_grad=True)
+        b = Tensor(rng.standard_normal(4), dtype="float64", requires_grad=True)
+        for x_grad, want_calls in ((False, 0), (True, 1)):
+            x = Tensor(rng.standard_normal((2, 3, 5, 5)), dtype="float64",
+                       requires_grad=x_grad)
+            with GradTape() as tape:
+                loss = ops.sum_all(ops.conv2d(x, w, b, padding=1))
+            backward(tape, loss)
+            assert (x.grad is not None) == x_grad
+            assert len(calls) == want_calls
+        assert w.grad is not None and b.grad is not None
+
     def test_output_dims_formula(self, rng):
         x = t64(rng.standard_normal((1, 2, 11, 9)))
         w = t64(rng.standard_normal((3, 2, 3, 3)))
@@ -366,6 +382,18 @@ class TestBackward:
         assert exc.value.op == "hadamard"
         assert exc.value.op_id == 0  # the inner product's gradient, 1e200 * 1e200
 
+    def test_gradient_of_input_without_grad_is_dropped_unchecked(self):
+        # d(loss)/dc = x * k overflows, but c requires no gradient
+        x = Tensor(np.array([1e200]), dtype="float64", requires_grad=True)
+        c = Tensor(np.array([1e-300]), dtype="float64")
+        k = Tensor(np.array([1e200]), dtype="float64")
+        with GradTape() as tape:
+            loss = ops.sum_all(ops.hadamard(ops.hadamard(x, c), k))
+        with np.errstate(over="ignore"):
+            backward(tape, loss)
+        assert c.grad is None and k.grad is None
+        np.testing.assert_allclose(x.grad, [1e-100], rtol=1e-12)
+
     def test_grads_accumulate_across_tapes_until_reset(self, rng):
         x = Tensor(rng.standard_normal((3,)), dtype="float64", requires_grad=True)
         for _ in range(2):
@@ -395,11 +423,38 @@ class TestPrecisionControl:
         out = ops.sigmoid(Tensor([0.0], dtype="float64"))
         assert out.dtype == np.float64
 
-    def test_mixed_dtypes_rejected(self, rng):
-        a = Tensor(rng.standard_normal(3), dtype="float32")
-        b = Tensor(rng.standard_normal(3), dtype="float64")
+    @pytest.mark.parametrize("op", ["conv2d", "batch_norm", "add", "hadamard", "lstm_gates",
+                                    "concat_channels", "concat_kernels"])
+    def test_mixed_dtypes_rejected(self, rng, op):
+        def t(*shape, dtype="float64"):
+            return Tensor(rng.standard_normal(shape), dtype=dtype)
+
+        # each call passes one float32 input among float64 ones
+        calls = {
+            "conv2d": lambda: ops.conv2d(t(2, 4, 5, 5), t(3, 4, 3, 3), t(3, dtype="float32")),
+            "batch_norm": lambda: ops.batch_norm(t(2, 3, 4, 4), t(3), t(3, dtype="float32"),
+                                                 ops.RunningStats(3, np.float64), training=True),
+            "add": lambda: ops.add(t(3, 4, 4, dtype="float32"), t(3, 4, 4)),
+            "hadamard": lambda: ops.hadamard(t(3, 4, 4, dtype="float32"), t(3, 4, 4)),
+            "lstm_gates": lambda: ops.lstm_gates(
+                t(2, 12, 4, 4), None, None, [t(3, 4, 4) for _ in range(3)],
+                [t(3, 4, 4) for _ in range(3)] + [t(3, 4, 4, dtype="float32")]),
+            "concat_channels": lambda: ops.concat_channels(
+                [t(1, 2, 4, 4), t(1, 3, 4, 4, dtype="float32")]),
+            "concat_kernels": lambda: ops.concat_kernels(
+                [t(2, 3, 4, 4), t(1, 3, 4, 4, dtype="float32")]),
+        }
+        with pytest.raises(ShapeError, match=f"^{op}: mixed dtypes"):
+            calls[op]()
+
+    def test_refused_batch_norm_leaves_running_stats(self, rng):
+        stats = ops.RunningStats(3, np.float64)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype="float64")
+        gamma = Tensor(np.ones(3), dtype="float64")
         with pytest.raises(ShapeError, match="mixed"):
-            ops.add(a, b)
+            ops.batch_norm(x, gamma, Tensor(np.zeros(3), dtype="float32"), stats,
+                           training=True)
+        assert stats.mean.tolist() == [0.0] * 3 and stats.var.tolist() == [1.0] * 3
 
 
 class TestStructuralOps:
@@ -454,6 +509,22 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             ops.concat_channels([a, b])
 
+    def test_concat_channels_needs_4d_input(self, rng):
+        with pytest.raises(ShapeError):
+            ops.concat_channels([Tensor(rng.standard_normal((2, 3, 4)), dtype="float64")])
+
+    @pytest.mark.parametrize("concat,axis", [(ops.concat_channels, 1), (ops.concat_kernels, 0)])
+    def test_concat_gradients_are_views_of_one_array(self, rng, concat, axis):
+        shape = (2, 3, 4, 4)
+        a = Tensor(rng.standard_normal(shape), dtype="float64", requires_grad=True)
+        b = Tensor(rng.standard_normal(shape), dtype="float64", requires_grad=True)
+        probe = rng.standard_normal((4, 3, 4, 4) if axis == 0 else (2, 6, 4, 4))
+        with GradTape() as tape:
+            loss = ops.sum_all(ops.hadamard(concat([a, b]), Tensor(probe)))
+        backward(tape, loss)
+        np.testing.assert_array_equal(np.concatenate([a.grad, b.grad], axis=axis), probe)
+        assert a.grad.base is not None and a.grad.base is b.grad.base
+
     def test_slice_channels_takes_range_and_scatters_back(self, rng):
         x = Tensor(rng.standard_normal((2, 5, 3, 3)), dtype="float64", requires_grad=True)
         with GradTape() as tape:
@@ -500,9 +571,3 @@ class TestStructuralOps:
         kernels = [Tensor(rng.standard_normal(s), dtype="float64") for s in shapes]
         with pytest.raises(ShapeError):
             ops.concat_kernels(kernels)
-
-    def test_concat_kernels_mixed_dtypes_rejected(self, rng):
-        a = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype="float64")
-        b = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype="float32")
-        with pytest.raises(ShapeError, match="mixed"):
-            ops.concat_kernels([a, b])
